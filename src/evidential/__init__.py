@@ -29,6 +29,6 @@ from .losses import (
 from .specfun import ln_gamma, digamma
 from .train import TrainPlan, EpochRecord, OptimizerState, RunResult, step, train_stage1, train_stage2, run_plan
 from .data import Dataset, SplitSpec, gen_blobs, gen_ood_ring, load_csv, save_csv, split
-from .metrics import EvalReport, roc_auc, auc_vs_uncertainty, uncertainty_histogram, assemble_report
+from .metrics import EvalReport, roc_auc, auc_vs_uncertainty, uncertainty_histogram, evaluate
 
 __version__ = "0.1.0"

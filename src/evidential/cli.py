@@ -13,27 +13,27 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as datamod
-from . import losses, metrics, ndcore
+from . import metrics, ndcore
 from .train import RunResult, TrainPlan, run_plan
 
 MODEL_FORMAT = "evidential-model"
 MODEL_VERSION = 1
 
-CONFIG_KEYS = {
-    "mode", "stage1_epochs", "stage2_epochs", "lambda", "batch_size",
-    "optimizer", "lr_stage1", "lr_stage2", "seed", "evidence_head_stage2",
-    "init_mode", "hostile_bias", "hidden_sizes", "hidden_activation",
-    "dataset_csv", "dataset", "train_fraction", "val_fraction",
-    "out_dir", "report_formats",
+# Config keys are TrainPlan's field names; "lambda" is the one alias.
+PLAN_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in fields(TrainPlan)}
+CONFIG_KEYS = set(PLAN_FIELDS) | {
+    "dataset_csv", "dataset", "train_fraction", "val_fraction", "out_dir", "report_formats",
 }
 
-GENERATOR_KEYS = {"kind", "n", "d", "k", "sep", "noise", "soft", "radius", "seed"}
+# Generator parameters: the `gen` flags and a config's `dataset` block.
+GEN_DEFAULTS = {"kind": "blobs", "n": 1000, "d": 2, "k": 2, "sep": 4.0, "noise": 0.0,
+                "soft": False, "radius": 100.0, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -122,6 +122,22 @@ def load_model(path: Path) -> ndcore.Network:
 
 # ------------------------------------------------------------ config / data
 
+def _coerce(key: str, value, kind: type):
+    """`value` as `kind` (tuple means a list of ints); an integer must be
+    integral. Raises ConfigError naming `key`."""
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_coerce(key, v, int) for v in value)
+    try:
+        coerced = kind(value)
+        if kind is int and isinstance(value, float) and value != coerced:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+    return coerced
+
+
 def validate_config(cfg: dict) -> list[str]:
     errors = []
     unknown = sorted(set(cfg) - CONFIG_KEYS)
@@ -136,70 +152,48 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(gen, dict):
             errors.append("dataset must be an object")
         else:
-            for key in sorted(set(gen) - GENERATOR_KEYS):
+            for key in sorted(set(gen) - set(GEN_DEFAULTS)):
                 errors.append(f"unknown dataset key {key!r}")
             if gen.get("kind") not in ("blobs", "ring"):
                 errors.append("dataset.kind must be blobs or ring")
     if "out_dir" not in cfg:
         errors.append("out_dir is required")
     for frac_key in ("train_fraction", "val_fraction"):
-        value = cfg.get(frac_key)
-        if value is not None and not (0.0 < float(value) <= 1.0):
+        if frac_key in cfg and not 0.0 < _coerce(frac_key, cfg[frac_key], float) <= 1.0:
             errors.append(f"{frac_key} must lie in (0, 1]")
     formats = cfg.get("report_formats", ["csv", "json"])
     if not isinstance(formats, list) or any(f not in ("csv", "json") for f in formats):
         errors.append("report_formats must be a list drawn from ['csv', 'json']")
-    plan = _plan_from_config(cfg, strict=False)
-    errors.extend(plan.validate())
+    try:
+        errors.extend(_plan_from_config(cfg).validate())
+    except ConfigError as exc:
+        errors.append(str(exc))
     return errors
 
 
-def _plan_from_config(cfg: dict, strict: bool = True) -> TrainPlan:
-    plan = TrainPlan(
-        mode=cfg.get("mode", "tedl"),
-        stage1_epochs=int(cfg.get("stage1_epochs", 10)),
-        stage2_epochs=int(cfg.get("stage2_epochs", 10)),
-        lam=float(cfg.get("lambda", 0.1)),
-        batch_size=int(cfg.get("batch_size", 128)),
-        optimizer=cfg.get("optimizer", "adam"),
-        lr_stage1=float(cfg.get("lr_stage1", 1e-3)),
-        lr_stage2=float(cfg.get("lr_stage2", 1e-3)),
-        seed=_env_seed(int(cfg.get("seed", 0))),
-        evidence_head_stage2=cfg.get("evidence_head_stage2", "elu_evidence"),
-        init_mode=cfg.get("init_mode", "standard"),
-        hostile_bias=float(cfg.get("hostile_bias", 3.0)),
-        hidden_sizes=tuple(cfg.get("hidden_sizes", [32])),
-        hidden_activation=cfg.get("hidden_activation", "tanh"),
-    )
-    if strict:
-        errors = plan.validate()
-        if errors:
-            raise ConfigError("; ".join(errors))
-    return plan
+def _plan_from_config(cfg: dict) -> TrainPlan:
+    plan = TrainPlan(**{
+        f.name: _coerce(key, cfg[key], type(f.default))
+        for key, f in PLAN_FIELDS.items() if key in cfg
+    })
+    return replace(plan, seed=_env_seed(plan.seed))
 
 
-def _generate_dataset(gen: dict) -> datamod.Dataset:
-    kind = gen.get("kind")
-    seed = _env_seed(int(gen.get("seed", 0)))
-    if kind == "blobs":
-        return datamod.gen_blobs(
-            n=int(gen.get("n", 1000)),
-            d=int(gen.get("d", 2)),
-            k=int(gen.get("k", 2)),
-            separation=float(gen.get("sep", 4.0)),
-            label_noise=float(gen.get("noise", 0.0)),
-            soft=bool(gen.get("soft", False)),
-            seed=seed,
-        )
-    if kind == "ring":
-        return datamod.gen_ood_ring(
-            n=int(gen.get("n", 1000)),
-            d=int(gen.get("d", 2)),
-            radius=float(gen.get("radius", 100.0)),
-            seed=seed,
-            k=int(gen.get("k", 2)),
-        )
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+def _generate_dataset(params: dict):
+    """Dataset from generator parameters over GEN_DEFAULTS, and the
+    resolved parameters (seed after the EVIDENTIAL_SEED override)."""
+    p = {key: _coerce(key, params.get(key, default), type(default))
+         for key, default in GEN_DEFAULTS.items()}
+    p["seed"] = _env_seed(p["seed"])
+    try:
+        if p["kind"] == "blobs":
+            ds = datamod.gen_blobs(p["n"], p["d"], p["k"], p["sep"], label_noise=p["noise"],
+                                   soft=p["soft"], seed=p["seed"])
+        else:
+            ds = datamod.gen_ood_ring(p["n"], p["d"], p["radius"], seed=p["seed"], k=p["k"])
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from None
+    return ds, p
 
 
 def _load_config_dataset(cfg: dict) -> datamod.Dataset:
@@ -208,7 +202,7 @@ def _load_config_dataset(cfg: dict) -> datamod.Dataset:
         if not path.exists():
             raise ConfigError(f"dataset file not found: {path}")
         return datamod.load_csv(path)
-    return _generate_dataset(cfg["dataset"])
+    return _generate_dataset(cfg["dataset"])[0]
 
 
 # -------------------------------------------------------------- serializers
@@ -260,17 +254,16 @@ def threshold_curves_csv(reports) -> str:
 def _emit_run_artifacts(result: RunResult, out_dir: Path, formats) -> dict:
     files = {}
     csv_path = out_dir / "epochs.csv"
-    csv_path.write_text(epoch_records_csv(result.records), encoding="utf-8")
+    _write_atomic(csv_path, epoch_records_csv(result.records))
     files["epochs_csv"] = str(csv_path)
     if "csv" in formats:
         curves = out_dir / "threshold_curves.csv"
-        curves.write_text(threshold_curves_csv(result.reports), encoding="utf-8")
+        _write_atomic(curves, threshold_curves_csv(result.reports))
         files["threshold_curves_csv"] = str(curves)
     if "json" in formats:
         for report in result.reports:
             path = out_dir / f"eval_epoch_{report.epoch}.json"
-            path.write_text(json.dumps(report_to_dict(report), indent=1),
-                            encoding="utf-8")
+            _write_atomic(path, json.dumps(report_to_dict(report), indent=1))
             files[f"eval_epoch_{report.epoch}"] = str(path)
     model_path = out_dir / "model.json"
     save_model(result.network, model_path)
@@ -281,63 +274,44 @@ def _emit_run_artifacts(result: RunResult, out_dir: Path, formats) -> dict:
 # --------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
-    if args.k < 2:
-        raise ConfigError("--k must be >= 2")
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1")
+    ds, params = _generate_dataset({key: getattr(args, key) for key in GEN_DEFAULTS})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _env_seed(args.seed)
-    if args.kind == "blobs":
-        ds = datamod.gen_blobs(args.n, args.d, args.k, args.sep,
-                               label_noise=args.noise, soft=args.soft, seed=seed)
-    else:
-        ds = datamod.gen_ood_ring(args.n, args.d, args.radius, seed=seed, k=args.k)
     csv_path = out_dir / f"{ds.name}.csv"
     datamod.save_csv(ds, csv_path)
-    manifest = {
-        "kind": args.kind,
-        "n": args.n, "d": args.d, "k": args.k,
-        "sep": args.sep, "noise": args.noise, "soft": args.soft,
-        "radius": args.radius, "seed": seed,
-        "csv": str(csv_path),
-        "csv_sha256": _sha256(csv_path),
-        "features_only": ds.features_only,
-    }
+    manifest = dict(params, csv=str(csv_path), csv_sha256=_sha256(csv_path),
+                    features_only=ds.features_only)
     _write_atomic(out_dir / f"{ds.name}.manifest.json",
                   json.dumps(manifest, indent=1, sort_keys=True))
     print(csv_path)
     return 0
 
 
-def _run_from_config(cfg: dict, out_dir: Path):
+def cmd_train(args) -> int:
+    cfg_path = Path(args.config)
+    if not cfg_path.exists():
+        raise ConfigError(f"config file not found: {cfg_path}")
+    try:
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{cfg_path}: malformed JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{cfg_path}: config must be a JSON object")
+    errors = validate_config(cfg)
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    started = time.time()
     plan = _plan_from_config(cfg)
     dataset = _load_config_dataset(cfg)
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     spec = datamod.SplitSpec(
         train_fraction=float(cfg.get("train_fraction", 0.8)),
         val_fraction=float(cfg.get("val_fraction", 0.2)),
         seed=plan.seed,
     )
-    pair = datamod.split(dataset, spec)
-    result = run_plan(plan, pair)
-    formats = cfg.get("report_formats", ["csv", "json"])
-    files = _emit_run_artifacts(result, out_dir, formats)
-    return result, files, dataset
-
-
-def cmd_train(args) -> int:
-    cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise ConfigError(f"config file not found: {cfg_path}")
-    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    started = time.time()
-    result, files, _ = _run_from_config(cfg, out_dir)
+    result = run_plan(plan, datamod.split(dataset, spec))
+    files = _emit_run_artifacts(result, out_dir, cfg.get("report_formats", ["csv", "json"]))
     manifest = {
         "config": cfg,
         "seed": result.plan.seed,
@@ -359,22 +333,8 @@ def cmd_eval(args) -> int:
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = ds.class_indices()
-    raw = ndcore.forward(net, ds.features)
-    if net.head in ("relu_evidence", "elu_evidence"):
-        out = losses.evidence_to_alpha(raw, net.head)
-        report = metrics.EvalReport(
-            epoch=0,
-            method="eval",
-            overall_auc=metrics.multiclass_auc(out.p_hat, labels),
-            threshold_curve=metrics.auc_vs_uncertainty(out, labels),
-            uncertainty_histogram=metrics.uncertainty_histogram(out, bins=20),
-        )
-    else:
-        report = metrics.EvalReport(
-            epoch=0, method="eval",
-            overall_auc=metrics.multiclass_auc(raw, labels),
-        )
+    report, _ = metrics.evaluate(ndcore.forward(net, ds.features), net.head,
+                                 ds.class_indices(), 0, "eval")
     path = out_dir / "eval.json"
     _write_atomic(path, json.dumps(report_to_dict(report), indent=1))
     print(path)
@@ -383,7 +343,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
+    lambdas = [_coerce("--lambdas", v, float) for v in args.lambdas.split(",") if v.strip()]
     if not methods:
         raise ConfigError("methods list must not be empty")
     if len(methods) < 2 and len(lambdas) < 2:
@@ -391,50 +351,53 @@ def cmd_compare(args) -> int:
     bad = [m for m in methods if m not in ("ce", "edl", "tedl")]
     if bad:
         raise ConfigError(f"unknown methods: {', '.join(bad)}")
+    seed = _env_seed(args.seed)
+    mode_of = {"ce": "ce_only", "edl": "edl_only", "tedl": "tedl"}
+    head_of = {"edl": "relu_evidence", "tedl": "elu_evidence"}
+    plans = [
+        (method, lam, TrainPlan(
+            mode=mode_of[method],
+            stage1_epochs=args.stage1_epochs,
+            stage2_epochs=args.stage2_epochs,
+            lam=lam,
+            seed=seed,
+            evidence_head_stage2=head_of.get(method, "elu_evidence"),
+        ))
+        for method in methods for lam in lambdas
+    ]
+    errors = sorted({e for _, _, plan in plans for e in plan.validate()})
+    if errors:
+        raise ConfigError("; ".join(errors))
 
     data_path = Path(args.data)
     if not data_path.exists():
         raise ConfigError(f"dataset file not found: {data_path}")
     dataset = datamod.load_csv(data_path)
-    seed = _env_seed(args.seed)
-    spec = datamod.SplitSpec(seed=seed)
-    pair = datamod.split(dataset, spec)
+    pair = datamod.split(dataset, datamod.SplitSpec(seed=seed))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode_of = {"ce": "ce_only", "edl": "edl_only", "tedl": "tedl"}
-    head_of = {"edl": "relu_evidence", "tedl": "elu_evidence"}
-
     rows = ["method,lambda,epoch,stage,overall_auc"]
     run_status = {}
     curve_docs = {}
-    for method in methods:
-        for lam in lambdas:
-            tag = f"{method}_lambda{lam:g}"
-            plan = TrainPlan(
-                mode=mode_of[method],
-                stage1_epochs=args.stage1_epochs,
-                stage2_epochs=args.stage2_epochs,
-                lam=lam,
-                seed=seed,
-                evidence_head_stage2=head_of.get(method, "elu_evidence"),
-            )
-            try:
-                result = run_plan(plan, pair)
-            except Exception as exc:  # keep partial results, mark the failure
-                run_status[tag] = f"failed: {exc}"
-                rows.append(f"{method},{_fmt(lam)},,,'FAILED'")
-                continue
-            run_status[tag] = "ok"
-            for rec, report in zip(result.records, result.reports):
-                rows.append(",".join([
-                    method, _fmt(lam), str(rec.epoch), rec.stage,
-                    _fmt(report.overall_auc),
-                ]))
-            curve_docs[tag] = [report_to_dict(r) for r in result.reports]
+    for method, lam, plan in plans:
+        tag = f"{method}_lambda{lam:g}"
+        try:
+            result = run_plan(plan, pair)
+        except Exception as exc:  # keep the other runs; the row's AUC stays empty
+            run_status[tag] = f"failed: {exc}"
+            rows.append(f"{method},{_fmt(lam)},,,")
+            continue
+        run_status[tag] = "ok"
+        for rec, report in zip(result.records, result.reports):
+            rows.append(",".join([
+                method, _fmt(lam), str(rec.epoch), rec.stage,
+                _fmt(report.overall_auc),
+            ]))
+        curve_docs[tag] = [report_to_dict(r) for r in result.reports]
 
     table = out_dir / "comparison.csv"
-    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_atomic(table, "\n".join(rows) + "\n")
     curves = out_dir / "threshold_curves.json"
     _write_atomic(curves, json.dumps(curve_docs, indent=1))
     manifest = {
@@ -464,15 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    p_gen.add_argument("--kind", choices=["blobs", "ring"], default="blobs")
-    p_gen.add_argument("--n", type=int, default=1000)
-    p_gen.add_argument("--d", type=int, default=2)
-    p_gen.add_argument("--k", type=int, default=2)
-    p_gen.add_argument("--sep", type=float, default=4.0)
-    p_gen.add_argument("--noise", type=float, default=0.0)
-    p_gen.add_argument("--soft", action="store_true")
-    p_gen.add_argument("--radius", type=float, default=100.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    for key, default in GEN_DEFAULTS.items():
+        if key == "soft":
+            p_gen.add_argument("--soft", action="store_true")
+        else:
+            p_gen.add_argument(f"--{key}", default=default,
+                               choices=["blobs", "ring"] if key == "kind" else None)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

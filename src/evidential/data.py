@@ -137,6 +137,8 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
     labels are the uninformative uniform distribution."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
@@ -169,8 +171,9 @@ def load_csv(path) -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: no data rows") from None
         d = sum(1 for h in header if h.startswith("f"))
-        k = sum(1 for h in header if h.startswith("y"))
-        if d < 1 or k < 2 or d + k != len(header):
+        k = len(header) - d
+        names = [f"f{i}" for i in range(d)] + [f"y{j}" for j in range(k)]
+        if d < 1 or k < 2 or header != names:
             raise ValueError(f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}")
         feats, labels = [], []
         for lineno, row in enumerate(reader, start=2):

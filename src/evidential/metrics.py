@@ -1,5 +1,5 @@
 """Ranking metrics: ROC AUC with ties, AUC vs uncertainty thresholds,
-uncertainty histograms and per-epoch report assembly."""
+uncertainty histograms and the one path from head output to EvalReport."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import EvidentialOutput
+from . import losses
 
 DEFAULT_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.01, 0.1), 10))
 
@@ -71,17 +71,12 @@ def roc_auc(scores, labels) -> float | None:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def scores_from_probabilities(p: np.ndarray) -> np.ndarray:
-    """Binary score: probability (or p_hat) of class 1."""
-    return np.asarray(p)[:, 1]
-
-
 def multiclass_auc(p_hat: np.ndarray, class_idx: np.ndarray) -> float | None:
     """Binary tasks score class 1 directly; K > 2 falls back to a
     one-vs-rest macro average over classes with both outcomes present."""
     p_hat = np.asarray(p_hat, dtype=np.float64)
     if p_hat.shape[1] == 2:
-        return roc_auc(scores_from_probabilities(p_hat), class_idx)
+        return roc_auc(p_hat[:, 1], class_idx)
     parts = []
     for j in range(p_hat.shape[1]):
         auc = roc_auc(p_hat[:, j], (class_idx == j).astype(int))
@@ -91,7 +86,7 @@ def multiclass_auc(p_hat: np.ndarray, class_idx: np.ndarray) -> float | None:
 
 
 def auc_vs_uncertainty(
-    out: EvidentialOutput, labels, thresholds=None
+    out: losses.EvidentialOutput, labels, thresholds=None
 ) -> list[ThresholdPoint]:
     """AUC over {i : u_i < tau} for each threshold (strict comparison).
 
@@ -116,7 +111,7 @@ def auc_vs_uncertainty(
     return curve
 
 
-def uncertainty_histogram(out: EvidentialOutput, bins: int) -> Histogram:
+def uncertainty_histogram(out: losses.EvidentialOutput, bins: int) -> Histogram:
     """Equal-width bins over [0, max(1, max u)]; counts sum to n."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -126,34 +121,23 @@ def uncertainty_histogram(out: EvidentialOutput, bins: int) -> Histogram:
     return Histogram(counts=counts, edges=edges)
 
 
-def assemble_report(records, per_epoch_outputs, bins: int = 20):
-    """One EvalReport per epoch plus a summary of final AUCs.
+def evaluate(raw, head: str, labels, epoch: int, method: str):
+    """EvalReport of one head output against integer class labels.
 
-    `per_epoch_outputs` pairs each record with either an
-    EvidentialOutput (evidence heads) or a probability matrix, plus the
-    integer class labels of the validation set.
+    Returns (report, view). For an evidence head, `view` is the
+    Dirichlet view of `raw` and the report adds the AUC-vs-uncertainty
+    curve and the uncertainty histogram; for any other head `raw` is
+    scored directly and `view` is None.
     """
-    if len(records) != len(per_epoch_outputs):
-        raise ValueError("one output per epoch record required")
-    reports = []
-    for rec, (out, labels) in zip(records, per_epoch_outputs):
-        if isinstance(out, EvidentialOutput):
-            report = EvalReport(
-                epoch=rec.epoch,
-                method=rec.stage,
-                overall_auc=multiclass_auc(out.p_hat, labels),
-                threshold_curve=auc_vs_uncertainty(out, labels),
-                uncertainty_histogram=uncertainty_histogram(out, bins),
-            )
-        else:
-            report = EvalReport(
-                epoch=rec.epoch,
-                method=rec.stage,
-                overall_auc=multiclass_auc(np.asarray(out), labels),
-            )
-        reports.append(report)
-    summary = {
-        "epochs": len(reports),
-        "final_auc": reports[-1].overall_auc if reports else None,
-    }
-    return reports, summary
+    if head not in ("relu_evidence", "elu_evidence"):
+        return EvalReport(epoch=epoch, method=method,
+                          overall_auc=multiclass_auc(raw, labels)), None
+    view = losses.evidence_to_alpha(raw, head)
+    report = EvalReport(
+        epoch=epoch,
+        method=method,
+        overall_auc=multiclass_auc(view.p_hat, labels),
+        threshold_curve=auc_vs_uncertainty(view, labels),
+        uncertainty_histogram=uncertainty_histogram(view, bins=20),
+    )
+    return report, view

@@ -150,26 +150,57 @@ def _epoch_batches(n: int, batch_size: int, seed: int, stage: int, epoch: int):
         yield order[start:start + batch_size]
 
 
-def _evaluate(net: ndcore.Network, val_ds, epoch: int, method: str):
-    """Validation AUC, dead-evidence fraction and a full EvalReport."""
-    labels = val_ds.class_indices()
-    out_raw = ndcore.forward(net, val_ds.features)
-    if net.head in ("relu_evidence", "elu_evidence"):
-        out = losses.evidence_to_alpha(out_raw, net.head)
-        auc = metrics.multiclass_auc(out.p_hat, labels)
-        dead = out.dead_fraction()
-        report = metrics.EvalReport(
+def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
+               learning_rate: float, epochs: int, lam: float, epoch_offset: int,
+               method: str):
+    """The batch loop both stages share.
+
+    `loss_fn(output, labels, lambda_t)` maps a batch of head outputs of
+    `net` to (LossValue, gradient at the output of `back_net`), which
+    shares `net`'s layers. Each epoch ends with an evaluation on the
+    validation set.
+    """
+    train_ds, val_ds = data
+    val_labels = val_ds.class_indices()
+    records: list[EpochRecord] = []
+    reports: list[metrics.EvalReport] = []
+    opt = OptimizerState.for_network(net, plan.optimizer, learning_rate)
+    for t in range(epochs):
+        lambda_t = losses.lambda_schedule(t, lam)
+        parts, batch_norms = [], []
+        for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
+            xb, yb = train_ds.features[idx], train_ds.labels[idx]
+            loss, grad = loss_fn(ndcore.forward(net, xb), yb, lambda_t)
+            if not np.isfinite(loss.total):
+                raise TrainingError(
+                    f"non-finite loss at stage{stage} epoch {t}, batch {len(parts)}")
+            tape = ndcore.backward(back_net, xb, grad)
+            step(net, opt, tape)
+            parts.append((loss.total, loss.base, loss.kl))
+            batch_norms.append(tape.global_norm())
+        epoch = epoch_offset + t
+        report, view = metrics.evaluate(ndcore.forward(net, val_ds.features), net.head,
+                                        val_labels, epoch, method)
+        total, base, kl = (float(np.mean(column)) for column in zip(*parts))
+        records.append(EpochRecord(
             epoch=epoch,
-            method=method,
-            overall_auc=auc,
-            threshold_curve=metrics.auc_vs_uncertainty(out, labels),
-            uncertainty_histogram=metrics.uncertainty_histogram(out, bins=20),
-        )
-    else:
-        auc = metrics.multiclass_auc(out_raw, labels)
-        dead = 0.0
-        report = metrics.EvalReport(epoch=epoch, method=method, overall_auc=auc)
-    return auc, dead, report
+            stage=f"stage{stage}",
+            loss_total=total,
+            loss_base=base,
+            loss_kl=kl,
+            lambda_t=lambda_t,
+            grad_norm_mean=float(np.mean(batch_norms)),
+            grad_norm_max=float(np.max(batch_norms)),
+            val_auc=report.overall_auc,
+            dead_evidence_frac=view.dead_fraction() if view is not None else 0.0,
+        ))
+        reports.append(report)
+    return net, records, reports
+
+
+def _cross_entropy(probs, yb, lambda_t: float):
+    value, grad_logits = losses.cross_entropy_loss(probs, yb)
+    return losses.LossValue(total=value, base=value, kl=0.0, lambda_t=lambda_t), grad_logits
 
 
 def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int = 0):
@@ -178,42 +209,15 @@ def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int =
     `data` is a (train, validation) Dataset pair. Returns the trained
     network, the per-epoch records and the per-epoch eval reports.
     """
-    train_ds, val_ds = data
     if net.head != "softmax":
         raise ValueError("stage 1 requires a softmax head")
-    records: list[EpochRecord] = []
-    reports: list[metrics.EvalReport] = []
-    grad_net = ndcore.Network(layers=net.layers, head="identity",
-                              class_count=net.class_count)
-    opt = OptimizerState.for_network(net, plan.optimizer, plan.lr_stage1)
-    for t in range(plan.stage1_epochs):
-        batch_losses, batch_norms = [], []
-        for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, 1, t):
-            xb, yb = train_ds.features[idx], train_ds.labels[idx]
-            probs = ndcore.forward(net, xb)
-            value, grad_logits = losses.cross_entropy_loss(probs, yb)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss at stage1 epoch {t}, batch {len(batch_losses)}")
-            tape = ndcore.backward(grad_net, xb, grad_logits)
-            step(net, opt, tape)
-            batch_losses.append(value)
-            batch_norms.append(tape.global_norm())
-        epoch = epoch_offset + t
-        auc, dead, report = _evaluate(net, val_ds, epoch, "ce")
-        records.append(EpochRecord(
-            epoch=epoch,
-            stage="stage1",
-            loss_total=float(np.mean(batch_losses)),
-            loss_base=float(np.mean(batch_losses)),
-            loss_kl=0.0,
-            lambda_t=0.0,
-            grad_norm_mean=float(np.mean(batch_norms)),
-            grad_norm_max=float(np.max(batch_norms)),
-            val_auc=auc,
-            dead_evidence_frac=dead,
-        ))
-        reports.append(report)
-    return net, records, reports
+    # Cross-entropy differentiates at the logits, so gradients flow
+    # through an identity-head view of the same layers.
+    logits_net = ndcore.Network(layers=net.layers, head="identity",
+                                class_count=net.class_count)
+    return _run_stage(net, logits_net, data, plan, _cross_entropy, stage=1,
+                      learning_rate=plan.lr_stage1, epochs=plan.stage1_epochs,
+                      lam=0.0, epoch_offset=epoch_offset, method="ce")
 
 
 def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
@@ -223,44 +227,15 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
     The head is swapped to plan.evidence_head_stage2 before training;
     the annealing clock restarts at t = 0 within this stage.
     """
-    train_ds, val_ds = data
     net = ndcore.swap_head(net, plan.evidence_head_stage2)
-    records: list[EpochRecord] = []
-    reports: list[metrics.EvalReport] = []
-    opt = OptimizerState.for_network(net, plan.optimizer, plan.lr_stage2)
-    for t in range(plan.stage2_epochs):
-        lambda_t = losses.lambda_schedule(t, plan.lam)
-        parts = {"total": [], "base": [], "kl": []}
-        batch_norms = []
-        for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, 2, t):
-            xb, yb = train_ds.features[idx], train_ds.labels[idx]
-            evidence = ndcore.forward(net, xb)
-            out = losses.evidence_to_alpha(evidence, net.head)
-            loss, grad_evidence = losses.edl_total_loss(out, yb, lambda_t)
-            if not np.isfinite(loss.total):
-                raise TrainingError(f"non-finite loss at stage2 epoch {t}, batch {len(batch_norms)}")
-            tape = ndcore.backward(net, xb, grad_evidence)
-            step(net, opt, tape)
-            parts["total"].append(loss.total)
-            parts["base"].append(loss.base)
-            parts["kl"].append(loss.kl)
-            batch_norms.append(tape.global_norm())
-        epoch = epoch_offset + t
-        auc, dead, report = _evaluate(net, val_ds, epoch, method)
-        records.append(EpochRecord(
-            epoch=epoch,
-            stage="stage2",
-            loss_total=float(np.mean(parts["total"])),
-            loss_base=float(np.mean(parts["base"])),
-            loss_kl=float(np.mean(parts["kl"])),
-            lambda_t=lambda_t,
-            grad_norm_mean=float(np.mean(batch_norms)),
-            grad_norm_max=float(np.max(batch_norms)),
-            val_auc=auc,
-            dead_evidence_frac=dead,
-        ))
-        reports.append(report)
-    return net, records, reports
+
+    def evidential(evidence, yb, lambda_t):
+        return losses.edl_total_loss(losses.evidence_to_alpha(evidence, net.head),
+                                     yb, lambda_t)
+
+    return _run_stage(net, net, data, plan, evidential, stage=2,
+                      learning_rate=plan.lr_stage2, epochs=plan.stage2_epochs,
+                      lam=plan.lam, epoch_offset=epoch_offset, method=method)
 
 
 def build_network(plan: TrainPlan, input_dim: int, class_count: int) -> ndcore.Network:

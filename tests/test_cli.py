@@ -8,6 +8,7 @@ import pytest
 from evidential import cli, ndcore
 from evidential.cli import main
 from evidential.data import gen_blobs, load_csv, save_csv
+from evidential.train import TrainingError
 
 
 def run_cli(*argv):
@@ -29,6 +30,54 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+# Each case is config overrides, raw config text, or an argv in which
+# "{data}" names a small two-class CSV.
+CONFIG_ERRORS = {
+    "malformed_json": '{"mode": "tedl",',
+    "top_level_list": '[{"mode": "tedl"}]',
+    "epochs_not_a_number": {"stage1_epochs": "ten"},
+    "lambda_not_a_number": {"lambda": "x"},
+    "dataset_n_not_a_number": {"dataset": {"kind": "blobs", "n": "many"}},
+    "dataset_k_above_d": {"dataset": {"kind": "blobs", "n": 100, "d": 2, "k": 3}},
+    "hidden_size_fractional": {"hidden_sizes": [1.5]},
+    "batch_size_fractional": {"batch_size": 12.7},
+    "gen_k_above_d": ["gen", "--k", "3", "--d", "2"],
+    "gen_ring_k1": ["gen", "--kind", "ring", "--k", "1"],
+    "gen_n_fractional": ["gen", "--n", "12.5"],
+    "compare_negative_lambda": ["compare", "--data", "{data}", "--lambdas", "-0.5"],
+    "compare_lambda_not_a_number": ["compare", "--data", "{data}", "--lambdas", "abc"],
+    "compare_tedl_without_stage1": ["compare", "--data", "{data}", "--methods", "ce,tedl",
+                                    "--stage1-epochs", "0"],
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_errors_exit_1(tmp_path, capsys, case):
+    if isinstance(case, list):
+        data = tmp_path / "data.csv"
+        save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data)
+        argv = [a.replace("{data}", str(data)) for a in case]
+        argv += ["--out", str(tmp_path / "out")]
+    else:
+        cfg_path, _ = write_config(tmp_path, **(case if isinstance(case, dict) else {}))
+        if isinstance(case, str):
+            cfg_path.write_text(case)
+        argv = ["train", "--config", str(cfg_path)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+
+def test_integral_floats_accepted(tmp_path):
+    runs = []
+    for name, batch, hidden in (("int", 64, [8]), ("float", 64.0, [8.0])):
+        (tmp_path / name).mkdir()
+        cfg_path, _ = write_config(tmp_path / name, batch_size=batch, hidden_sizes=hidden)
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        runs.append((tmp_path / name / "run" / "epochs.csv").read_bytes())
+    assert runs[0] == runs[1]
 
 
 class TestGen:
@@ -237,6 +286,29 @@ class TestCompare:
                        "--out", str(out)) == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
+
+    def test_failed_run_keeps_other_results(self, tmp_path, monkeypatch):
+        def run_plan(plan, pair):
+            if plan.mode == "edl_only":
+                raise TrainingError("non-finite loss at stage2 epoch 0, batch 0")
+            return real_run_plan(plan, pair)
+
+        real_run_plan = cli.run_plan
+        monkeypatch.setattr(cli, "run_plan", run_plan)
+        data_path = tmp_path / "data.csv"
+        save_csv(gen_blobs(200, 2, 2, 6.0, seed=2), data_path)
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--data", str(data_path), "--methods", "ce,edl",
+                       "--stage1-epochs", "1", "--stage2-epochs", "1",
+                       "--out", str(out)) == 0
+        lines = (out / "comparison.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1 + 1
+        assert lines[1].startswith("ce,") and lines[1].split(",")[4] != ""
+        assert lines[2].split(",")[0] == "edl" and lines[2].split(",")[2:] == ["", "", ""]
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert runs["ce_lambda0.1"] == "ok"
+        assert runs["edl_lambda0.1"].startswith("failed: non-finite")
+        assert list(json.loads((out / "threshold_curves.json").read_text())) == ["ce_lambda0.1"]
 
     def test_single_cell_rejected(self, tmp_path):
         assert run_cli("compare", "--data", "x.csv", "--methods", "ce",

@@ -198,6 +198,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(path)
 
+    def test_out_of_order_columns_rejected(self, tmp_path):
+        # read by count alone, y1,y0 would load with every class flipped
+        path = tmp_path / "swapped.csv"
+        path.write_text("f0,f1,y1,y0\n1,2,1,0\n")
+        with pytest.raises(ValueError, match="header"):
+            load_csv(path)
+
     def test_label_row_not_summing_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,y0,y1\n1,1,0\n2,0.6,0.6\n")

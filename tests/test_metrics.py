@@ -9,8 +9,8 @@ from evidential.losses import evidence_to_alpha
 from evidential.metrics import (
     DEFAULT_THRESHOLDS,
     EvalReport,
-    assemble_report,
     auc_vs_uncertainty,
+    evaluate,
     multiclass_auc,
     roc_auc,
     uncertainty_histogram,
@@ -174,41 +174,23 @@ class TestUncertaintyHistogram:
             uncertainty_histogram(out, bins=0)
 
 
-class DummyRecord:
-    def __init__(self, epoch, stage):
-        self.epoch = epoch
-        self.stage = stage
-
-
-class TestAssembleReport:
-    def test_empty(self):
-        reports, summary = assemble_report([], [])
-        assert reports == []
-        assert summary["final_auc"] is None
-
-    def test_three_epochs(self):
-        rng = np.random.default_rng(2)
-        labels = rng.integers(0, 2, size=30)
-        records, outputs = [], []
-        for e in range(3):
-            records.append(DummyRecord(e, "stage2"))
-            outputs.append(
-                (output_from_evidence(rng.uniform(0, 4, size=(30, 2))), labels)
-            )
-        reports, summary = assemble_report(records, outputs)
-        assert [r.epoch for r in reports] == [0, 1, 2]
-        assert all(isinstance(r, EvalReport) for r in reports)
-        assert summary["epochs"] == 3
-        assert summary["final_auc"] == reports[-1].overall_auc
-
+class TestEvaluate:
     def test_probability_outputs_skip_uncertainty(self):
         labels = np.array([0, 1])
         probs = np.array([[0.8, 0.2], [0.1, 0.9]])
-        reports, _ = assemble_report([DummyRecord(0, "stage1")], [(probs, labels)])
-        assert reports[0].overall_auc == 1.0
-        assert reports[0].uncertainty_histogram is None
-        assert reports[0].threshold_curve == []
+        report, _ = evaluate(probs, "softmax", labels, 0, "stage1")
+        assert report.overall_auc == 1.0
+        assert report.uncertainty_histogram is None
+        assert report.threshold_curve == []
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_report([DummyRecord(0, "stage1")], [])
+    def test_evidence_head_returns_dirichlet_view(self):
+        evidence = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 5.0]])
+        labels = np.array([0, 0, 1])
+        report, view = evaluate(evidence, "relu_evidence", labels, 4, "tedl")
+        assert isinstance(report, EvalReport)
+        assert (report.epoch, report.method, report.overall_auc) == (4, "tedl", 1.0)
+        assert np.array_equal(view.alpha, evidence + 1.0)
+        assert view.dead_fraction() == pytest.approx(1 / 3)
+        assert report.uncertainty_histogram.total == 3
+        assert report.threshold_curve[-1].sample_count == 3
+        assert evaluate(evidence, "identity", labels, 4, "tedl")[1] is None
