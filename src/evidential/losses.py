@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ndcore import as_matrix
-from .specfun import digamma, ln_gamma, trigamma
+from .specfun import _gamma_terms
 
 _LOG_CLAMP = 1e-15
 
@@ -143,14 +143,17 @@ def kl_to_uniform(alpha_tilde):
         raise ValueError("alpha_tilde must be strictly positive")
     n, k = at.shape
     st = at.sum(axis=1)
+    # One special-function pass over [alpha_tilde, S_tilde, K].
+    lg, dg, tg = _gamma_terms(np.concatenate([at.ravel(), st, [float(k)]]), "kl_to_uniform")
+    m = n * k
     per_sample = (
-        ln_gamma(st)
-        - ln_gamma(float(k))
-        - ln_gamma(at).sum(axis=1)
-        + np.sum((at - 1.0) * (digamma(at) - digamma(st)[:, None]), axis=1)
+        lg[m:-1]
+        - lg[-1]
+        - lg[:m].reshape(n, k).sum(axis=1)
+        + np.sum((at - 1.0) * (dg[:m].reshape(n, k) - dg[m:-1][:, None]), axis=1)
     )
     value = float(per_sample.mean())
-    grad = ((at - 1.0) * trigamma(at) - ((st - k) * trigamma(st))[:, None]) / n
+    grad = ((at - 1.0) * tg[:m].reshape(n, k) - ((st - k) * tg[m:-1])[:, None]) / n
     return value, grad
 
 

@@ -39,29 +39,25 @@ class EvalReport:
 
 
 def _tied_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s[j] == s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks
+    """1-based ranks; each group of equal scores shares its mid-rank."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return (0.5 * (starts + ends - 1) + 1.0)[inverse]
 
 
 def roc_auc(scores, labels) -> float | None:
     """Mann-Whitney AUC with half credit for ties, O(n log n).
 
     Returns None when only one class is present (never a fabricated
-    0.5 and never NaN).
+    0.5 and never NaN). Non-finite scores raise ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel().astype(int)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -169,17 +169,30 @@ def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def forward_with_cache(net: Network, x):
+    """Forward pass that also returns the layer activations.
+
+    Returns (head output, cache); `backward` accepts the cache for any
+    network with the same layers, whatever its head.
+    """
+    cache = _forward_cached(net, x)
+    out = _apply_head(net.head, cache[2][-1])
+    _require_finite(out, "head output")
+    return out, cache
+
+
 def forward(net: Network, x) -> np.ndarray:
     """Forward pass through all layers and the output head."""
-    _, _, post = _forward_cached(net, x)
-    out = _apply_head(net.head, post[-1])
-    _require_finite(out, "head output")
-    return out
+    return forward_with_cache(net, x)[0]
 
 
-def backward(net: Network, x, upstream) -> GradientTape:
-    """Chain `upstream` (gradient at the head output) back to parameters."""
-    x, pre, post = _forward_cached(net, x)
+def backward(net: Network, x, upstream, cache=None) -> GradientTape:
+    """Chain `upstream` (gradient at the head output) back to parameters.
+
+    `cache` is the second result of `forward_with_cache(net, x)` on the
+    same layers and parameters; without it the forward pass is rerun.
+    """
+    x, pre, post = _forward_cached(net, x) if cache is None else cache
     upstream = as_matrix(upstream)
     if upstream.shape != (x.shape[0], net.class_count):
         raise ValueError(

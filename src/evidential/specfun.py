@@ -48,75 +48,59 @@ _TRIGAMMA_SERIES = (
 _SHIFT_THRESHOLD = 10.0
 
 
-def _prepare(x, name: str):
+def _series(coeffs, term: np.ndarray, inv2: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] * term * inv2**n, accumulated in order."""
+    total = np.zeros_like(term)
+    for c in coeffs:
+        total += c * term
+        term = term * inv2
+    return total
+
+
+def _gamma_terms(x, name: str = "gamma_terms"):
+    """(ln Gamma, digamma, trigamma) of x > 0 from one shifted argument.
+
+    The three shift sums share one upward recurrence; each then adds its
+    asymptotic series at the shifted argument. Scalar in, scalars out.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise ValueError(f"{name} requires finite x > 0")
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr).copy(), scalar
-
-
-def _finish(res: np.ndarray, scalar: bool):
-    return float(res[0]) if scalar else res
-
-
-def ln_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    z, scalar = _prepare(x, "ln_gamma")
-    shift = np.zeros_like(z)
+    z = np.atleast_1d(arr)
+    lg_shift = np.zeros_like(z)
+    dg_shift = np.zeros_like(z)
+    tg_shift = np.zeros_like(z)
     # After ten unit shifts any positive argument exceeds the threshold.
     for _ in range(10):
         mask = z < _SHIFT_THRESHOLD
         if not mask.any():
             break
-        shift[mask] += np.log(z[mask])
-        z[mask] += 1.0
+        lg_shift = np.where(mask, lg_shift + np.log(z), lg_shift)
+        dg_shift = np.where(mask, dg_shift + 1.0 / z, dg_shift)
+        tg_shift = np.where(mask, tg_shift + 1.0 / (z * z), tg_shift)
+        z = np.where(mask, z + 1.0, z)
+    log_z = np.log(z)
     inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    term = 1.0 / z
-    for c in _LNGAMMA_SERIES:
-        series += c * term
-        term *= inv2
-    res = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - shift
-    return _finish(res, scalar)
+    lg_series = _series(_LNGAMMA_SERIES, 1.0 / z, inv2)
+    lg = (z - 0.5) * log_z - z + _HALF_LOG_2PI + lg_series - lg_shift
+    dg = log_z - 0.5 / z - _series(_DIGAMMA_SERIES, inv2, inv2) - dg_shift
+    tg = 1.0 / z + 0.5 * inv2 + _series(_TRIGAMMA_SERIES, inv2 / z, inv2) + tg_shift
+    if arr.ndim == 0:
+        return float(lg[0]), float(dg[0]), float(tg[0])
+    return lg, dg, tg
+
+
+def ln_gamma(x):
+    """Natural log of the gamma function for x > 0."""
+    return _gamma_terms(x, "ln_gamma")[0]
 
 
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
-    z, scalar = _prepare(x, "digamma")
-    shift = np.zeros_like(z)
-    for _ in range(10):
-        mask = z < _SHIFT_THRESHOLD
-        if not mask.any():
-            break
-        shift[mask] += 1.0 / z[mask]
-        z[mask] += 1.0
-    inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    term = inv2.copy()
-    for c in _DIGAMMA_SERIES:
-        series += c * term
-        term *= inv2
-    res = np.log(z) - 0.5 / z - series - shift
-    return _finish(res, scalar)
+    return _gamma_terms(x, "digamma")[1]
 
 
 def trigamma(x):
-    """Second derivative of ln Gamma for x > 0 (internal helper for
-    closed-form KL gradients; not part of the public surface)."""
-    z, scalar = _prepare(x, "trigamma")
-    shift = np.zeros_like(z)
-    for _ in range(10):
-        mask = z < _SHIFT_THRESHOLD
-        if not mask.any():
-            break
-        shift[mask] += 1.0 / (z[mask] * z[mask])
-        z[mask] += 1.0
-    inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    term = inv2 / z
-    for c in _TRIGAMMA_SERIES:
-        series += c * term
-        term *= inv2
-    res = 1.0 / z + 0.5 * inv2 + series + shift
-    return _finish(res, scalar)
+    """Second derivative of ln Gamma for x > 0 (not part of the public
+    surface)."""
+    return _gamma_terms(x, "trigamma")[2]

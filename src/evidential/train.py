@@ -157,8 +157,8 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
 
     `loss_fn(output, labels, lambda_t)` maps a batch of head outputs of
     `net` to (LossValue, gradient at the output of `back_net`), which
-    shares `net`'s layers. Each epoch ends with an evaluation on the
-    validation set.
+    shares `net`'s layers, so one forward pass per batch serves both.
+    Each epoch ends with an evaluation on the validation set.
     """
     train_ds, val_ds = data
     val_labels = val_ds.class_indices()
@@ -170,11 +170,12 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
         parts, batch_norms = [], []
         for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
             xb, yb = train_ds.features[idx], train_ds.labels[idx]
-            loss, grad = loss_fn(ndcore.forward(net, xb), yb, lambda_t)
+            output, cache = ndcore.forward_with_cache(net, xb)
+            loss, grad = loss_fn(output, yb, lambda_t)
             if not np.isfinite(loss.total):
                 raise TrainingError(
                     f"non-finite loss at stage{stage} epoch {t}, batch {len(parts)}")
-            tape = ndcore.backward(back_net, xb, grad)
+            tape = ndcore.backward(back_net, xb, grad, cache)
             step(net, opt, tape)
             parts.append((loss.total, loss.base, loss.kl))
             batch_norms.append(tape.global_norm())

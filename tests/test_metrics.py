@@ -9,6 +9,7 @@ from evidential.losses import evidence_to_alpha
 from evidential.metrics import (
     DEFAULT_THRESHOLDS,
     EvalReport,
+    _tied_ranks,
     auc_vs_uncertainty,
     evaluate,
     multiclass_auc,
@@ -61,6 +62,11 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([0.1, 0.2], [1, 0, 1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc([0.1, bad, 0.3], [0, 1, 1])
+
     def test_brute_force_agreement_with_ties(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -87,6 +93,26 @@ class TestRocAuc:
         # strictly increasing maps must not change the ranking metric
         for f in (lambda s: 3.0 * s + 1.0, np.tanh, lambda s: s**3):
             assert roc_auc(f(scores), labels) == pytest.approx(base, abs=1e-12)
+
+
+def brute_force_mid_ranks(scores):
+    """1-based rank: count below plus the mean position among equals."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.array([np.sum(scores < s) + (np.sum(scores == s) + 1) / 2.0
+                     for s in scores])
+
+
+class TestTiedRanks:
+    @pytest.mark.parametrize("scores", [
+        np.round(np.random.default_rng(5).random(300), 1),
+        np.random.default_rng(6).integers(0, 3, size=50) / 2.0,
+        np.full(9, 0.25),
+        np.array([0.7]),
+        np.array([0.4, 0.4]),
+        np.array([0.9, 0.1]),
+    ], ids=["rounded", "three_levels", "all_equal", "n1", "n2_tied", "n2_distinct"])
+    def test_matches_brute_force_mid_ranks(self, scores):
+        assert np.array_equal(_tied_ranks(scores), brute_force_mid_ranks(scores))
 
 
 class TestMulticlassAuc:

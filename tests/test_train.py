@@ -156,6 +156,26 @@ class TestStage1:
         assert all(r.stage == "stage1" for r in result.records)
 
 
+@pytest.mark.parametrize("train", [train_stage1, train_stage2])
+def test_one_forward_pass_per_training_batch(train, monkeypatch):
+    pair = easy_pair()
+    plan = TrainPlan(stage1_epochs=1, stage2_epochs=1, batch_size=128, seed=0)
+    net = build_network(plan, 2, 2)
+    rows = []
+    layer_pass = ndcore._forward_cached
+
+    def counting(net, x):
+        rows.append(len(x))
+        return layer_pass(net, x)
+
+    monkeypatch.setattr(ndcore, "_forward_cached", counting)
+    train(net, pair, plan)
+    batches = -(-pair[0].n // plan.batch_size)
+    # One pass per training batch, then one over the validation set.
+    assert len(rows) == batches + 1
+    assert rows[-1] == pair[1].n
+
+
 class TestStage2:
     def test_zero_epochs_only_swaps_head(self):
         pair = easy_pair()
