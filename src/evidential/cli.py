@@ -42,7 +42,9 @@ class ConfigError(ValueError):
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):  # 1 MiB at a time: never the whole file in memory
+            h.update(chunk)
     return h.hexdigest()
 
 

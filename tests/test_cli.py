@@ -1,5 +1,6 @@
 """CLI surface: gen / train / eval / compare, exit codes and artifacts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -321,6 +322,16 @@ class TestCompare:
     def test_missing_data_file(self, tmp_path):
         assert run_cli("compare", "--data", str(tmp_path / "none.csv"),
                        "--methods", "ce,tedl", "--out", str(tmp_path)) == 1
+
+
+def test_sha256_streams_files_larger_than_a_chunk(tmp_path):
+    blob = np.random.default_rng(0).bytes((5 << 20) // 2 + 7)  # 2.5 MiB and a partial chunk
+    path = tmp_path / "blob.bin"
+    path.write_bytes(blob)
+    assert cli._sha256(path) == hashlib.sha256(blob).hexdigest()
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert cli._sha256(empty) == hashlib.sha256(b"").hexdigest()
 
 
 class TestUsage:

@@ -1,10 +1,14 @@
 """Dataset generation, CSV round-trips and stratified splits."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidential import data
 from evidential.data import (
     Dataset,
     SplitSpec,
@@ -21,6 +25,11 @@ class TestDataset:
     def test_rejects_bad_label_sums(self):
         with pytest.raises(ValueError, match="sum to 1"):
             Dataset(np.zeros((2, 3)), [[0.7, 0.2], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_rejects_non_finite_label_rows(self, row):
+        with pytest.raises(ValueError, match="sum to 1"):
+            Dataset([[1.0]], [row])
 
     def test_rejects_nan_features(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -210,6 +219,116 @@ class TestCsv:
         path.write_text("f0,y0,y1\n1,1,0\n2,0.6,0.6\n")
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path)
+
+
+def reference_save_csv(dataset, path):
+    """The csv.writer form of save_csv, one formatted cell at a time: the
+    byte-for-byte reference for the block-formatted writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(dataset.dim)]
+                        + [f"y{j}" for j in range(dataset.class_count)])
+        for xrow, yrow in zip(dataset.features, dataset.labels):
+            writer.writerow([format(v, ".17g") for v in xrow]
+                            + [format(v, ".17g") for v in yrow])
+
+
+HOSTILE = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1 + 0.2, 1 / 3, -2.5e-7, 1e16]
+
+
+def _hostile_datasets():
+    rng = np.random.default_rng(11)
+    block = data._CSV_BLOCK_ROWS
+    wide = np.array(HOSTILE)[None, :]
+    soft = rng.dirichlet([0.5, 0.5, 0.5], size=2 * block + 3)
+    return {
+        "hostile_row": Dataset(wide, [[1 / 3, 1 / 3, 1 / 3]]),
+        "d1_n1": Dataset([[-0.0]], [[0.1 + 0.2, 1 - (0.1 + 0.2)]]),
+        "d1_hostile_column": Dataset(wide.T, np.tile([0.5, 0.5], (wide.size, 1))),
+        "soft_over_two_blocks": Dataset(
+            rng.choice([1.0, -1.0], size=soft.shape[:1] + (2,))
+            * rng.choice(HOSTILE, size=soft.shape[:1] + (2,)),
+            soft,
+        ),
+        "exactly_one_block": gen_blobs(block, 3, 2, 2.0, soft=True, seed=5),
+    }
+
+
+HOSTILE_DATASETS = _hostile_datasets()
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("name", list(HOSTILE_DATASETS))
+    def test_bytes_match_reference_writer(self, tmp_path, name):
+        ds = HOSTILE_DATASETS[name]
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", list(HOSTILE_DATASETS))
+    def test_round_trip_is_bit_identical(self, tmp_path, name):
+        ds = HOSTILE_DATASETS[name]
+        save_csv(ds, tmp_path / "d.csv")
+        back = load_csv(tmp_path / "d.csv")
+        assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+        assert np.array_equal(back.labels.view(np.int64), ds.labels.view(np.int64))
+
+
+class TestCsvContract:
+    def _load(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        return load_csv(path)
+
+    def test_blank_line_skipped_but_counted(self, tmp_path):
+        ds = self._load(tmp_path, "f0,y0,y1\n1,1,0\n\n2,0,1\n")
+        assert ds.features.tolist() == [[1.0], [2.0]]
+        with pytest.raises(ValueError, match="line 4: expected 3 columns, got 2"):
+            self._load(tmp_path, "f0,y0,y1\n1,1,0\n\n2,0\n")
+        with pytest.raises(ValueError, match="line 4: non-numeric cell"):
+            self._load(tmp_path, "f0,y0,y1\n1,1,0\n\nx,0,1\n")
+        with pytest.raises(ValueError, match="line 4: label row does not sum to 1"):
+            self._load(tmp_path, "f0,y0,y1\n1,1,0\n\n2,0.6,0.6\n")
+
+    def test_whitespace_only_line_is_a_column_error(self, tmp_path):
+        with pytest.raises(ValueError, match="line 3: expected 3 columns, got 1"):
+            self._load(tmp_path, "f0,y0,y1\n1,1,0\n   \n2,0,1\n")
+
+    def test_comment_row_is_not_skipped(self, tmp_path):
+        with pytest.raises(ValueError, match="line 3: non-numeric cell"):
+            self._load(tmp_path, "f0,y0,y1\n1,1,0\n#2,0,1\n")
+
+    def test_cell_float_accepts_but_parser_rejects_names_line(self, tmp_path):
+        # Python's float() reads digit separators; the array parser does not
+        with pytest.raises(ValueError, match="line 2: non-numeric cell"):
+            self._load(tmp_path, "f0,y0,y1\n1_0,1,0\n")
+
+    def test_quoted_numeric_cell_loads(self, tmp_path):
+        ds = self._load(tmp_path, 'f0,y0,y1\n"1.5",1,"0"\n')
+        assert ds.features.tolist() == [[1.5]]
+        assert ds.labels.tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("text", [
+        "f0,y0,y1\n1,1,0\n2,0,1\n",
+        "f0,y0,y1\r\n1,1,0\r\n2,0,1\r\n",
+        "f0,y0,y1\n1,1,0\n2,0,1",
+        "f0,y0,y1\r\n1,1,0\r\n2,0,1",
+    ], ids=["lf", "crlf", "lf_no_final_newline", "crlf_no_final_newline"])
+    def test_line_endings(self, tmp_path, text):
+        ds = self._load(tmp_path, text)
+        assert ds.features.tolist() == [[1.0], [2.0]]
+        assert ds.labels.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("text", ["f0,y0,y1\n", "f0,y0,y1\r\n\r\n\n", "f0,y0,y1"])
+    def test_header_only_raises_without_warning(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                self._load(tmp_path, text)
+
+    def test_nan_label_row_names_line(self, tmp_path):
+        with pytest.raises(ValueError, match="line 2: label row does not sum to 1"):
+            self._load(tmp_path, "f0,y0,y1\n1,nan,1\n")
 
 
 class TestSplit:
