@@ -13,23 +13,27 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as datamod
 from . import metrics, ndcore
-from .train import RunResult, TrainPlan, run_plan
+from .train import EpochRecord, RunResult, TrainPlan, run_plan
 
 MODEL_FORMAT = "evidential-model"
 MODEL_VERSION = 1
 
-# Config keys are TrainPlan's field names; "lambda" is the one alias.
+# Config keys are TrainPlan's field names ("lambda" is the one alias) and
+# SplitSpec's fractions; its seed is the plan's.
 PLAN_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in fields(TrainPlan)}
-CONFIG_KEYS = set(PLAN_FIELDS) | {
-    "dataset_csv", "dataset", "train_fraction", "val_fraction", "out_dir", "report_formats",
+SPLIT_KEYS = tuple(f.name for f in fields(datamod.SplitSpec) if f.name != "seed")
+CONFIG_KEYS = set(PLAN_FIELDS) | set(SPLIT_KEYS) | {
+    "dataset_csv", "dataset", "out_dir", "report_formats",
 }
+REPORT_FORMATS = ["csv", "json"]  # the allowed formats, all written by default
+METHOD_MODES = {"ce": "ce_only", "edl": "edl_only", "tedl": "tedl"}  # compare's methods
 
 # Generator parameters: the `gen` flags and a config's `dataset` block.
 GEN_DEFAULTS = {"kind": "blobs", "n": 1000, "d": 2, "k": 2, "sep": 4.0, "noise": 0.0,
@@ -55,9 +59,17 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _fmt(x) -> str:
+    """A CSV cell: text as it is, None empty, a number with 17 digits
+    (an integer below 1e17 reads as itself)."""
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     return format(float(x), ".17g")
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _env_seed(default: int) -> int:
@@ -140,45 +152,47 @@ def _coerce(key: str, value, kind: type):
     return coerced
 
 
-def validate_config(cfg: dict) -> list[str]:
-    errors = []
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
-    for key in unknown:
-        errors.append(f"unknown config key {key!r}")
-    has_csv = "dataset_csv" in cfg
-    has_gen = "dataset" in cfg
-    if has_csv == has_gen:
-        errors.append("exactly one of dataset_csv or dataset is required")
-    if has_gen:
-        gen = cfg["dataset"]
-        if not isinstance(gen, dict):
-            errors.append("dataset must be an object")
-        else:
-            for key in sorted(set(gen) - set(GEN_DEFAULTS)):
-                errors.append(f"unknown dataset key {key!r}")
-            if gen.get("kind") not in ("blobs", "ring"):
-                errors.append("dataset.kind must be blobs or ring")
-    if "out_dir" not in cfg:
-        errors.append("out_dir is required")
-    for frac_key in ("train_fraction", "val_fraction"):
-        if frac_key in cfg and not 0.0 < _coerce(frac_key, cfg[frac_key], float) <= 1.0:
-            errors.append(f"{frac_key} must lie in (0, 1]")
-    formats = cfg.get("report_formats", ["csv", "json"])
-    if not isinstance(formats, list) or any(f not in ("csv", "json") for f in formats):
-        errors.append("report_formats must be a list drawn from ['csv', 'json']")
-    try:
-        errors.extend(_plan_from_config(cfg).validate())
-    except ConfigError as exc:
-        errors.append(str(exc))
-    return errors
-
-
 def _plan_from_config(cfg: dict) -> TrainPlan:
     plan = TrainPlan(**{
         f.name: _coerce(key, cfg[key], type(f.default))
         for key, f in PLAN_FIELDS.items() if key in cfg
     })
     return replace(plan, seed=_env_seed(plan.seed))
+
+
+def _parse_config(cfg: dict):
+    """(TrainPlan, SplitSpec, report formats) of a train config.
+
+    The plan and the split check their own values; every problem found
+    is listed in one ConfigError.
+    """
+    errors = [f"unknown config key {key!r}" for key in sorted(set(cfg) - CONFIG_KEYS)]
+    if ("dataset_csv" in cfg) == ("dataset" in cfg):
+        errors.append("exactly one of dataset_csv or dataset is required")
+    gen = cfg.get("dataset", {})
+    if not isinstance(gen, dict):
+        errors.append("dataset must be an object")
+    else:
+        errors += [f"unknown dataset key {key!r}" for key in sorted(set(gen) - set(GEN_DEFAULTS))]
+    if "out_dir" not in cfg:
+        errors.append("out_dir is required")
+    formats = cfg.get("report_formats", REPORT_FORMATS)
+    if not isinstance(formats, list) or any(f not in REPORT_FORMATS for f in formats):
+        errors.append(f"report_formats must be a list drawn from {REPORT_FORMATS}")
+
+    def attempt(build):
+        try:
+            return build()
+        except ValueError as exc:  # ConfigError included
+            errors.append(str(exc))
+
+    plan = attempt(lambda: _plan_from_config(cfg))
+    errors += plan.validate() if plan else []
+    spec = attempt(lambda: datamod.SplitSpec(
+        **{key: _coerce(key, cfg[key], float) for key in SPLIT_KEYS if key in cfg}))
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    return plan, replace(spec, seed=plan.seed), formats
 
 
 def _generate_dataset(params: dict):
@@ -191,76 +205,47 @@ def _generate_dataset(params: dict):
         if p["kind"] == "blobs":
             ds = datamod.gen_blobs(p["n"], p["d"], p["k"], p["sep"], label_noise=p["noise"],
                                    soft=p["soft"], seed=p["seed"])
-        else:
+        elif p["kind"] == "ring":
             ds = datamod.gen_ood_ring(p["n"], p["d"], p["radius"], seed=p["seed"], k=p["k"])
+        else:
+            raise ValueError(f"kind must be blobs or ring, got {p['kind']!r}")
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from None
     return ds, p
 
 
-def _load_config_dataset(cfg: dict) -> datamod.Dataset:
-    if "dataset_csv" in cfg:
-        path = Path(cfg["dataset_csv"])
-        if not path.exists():
-            raise ConfigError(f"dataset file not found: {path}")
-        return datamod.load_csv(path)
-    return _generate_dataset(cfg["dataset"])[0]
+def _read_dataset(path: Path) -> datamod.Dataset:
+    if not path.exists():
+        raise ConfigError(f"dataset file not found: {path}")
+    return datamod.load_csv(path)
 
 
 # -------------------------------------------------------------- serializers
 
-EPOCH_CSV_HEADER = ("epoch,stage,loss_total,loss_base,loss_kl,lambda_t,"
-                    "grad_norm_mean,grad_norm_max,val_auc,dead_evidence_frac")
-
-
-def epoch_records_csv(records) -> str:
-    lines = [EPOCH_CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.epoch), r.stage, _fmt(r.loss_total), _fmt(r.loss_base),
-            _fmt(r.loss_kl), _fmt(r.lambda_t), _fmt(r.grad_norm_mean),
-            _fmt(r.grad_norm_max), _fmt(r.val_auc), _fmt(r.dead_evidence_frac),
-        ]))
-    return "\n".join(lines) + "\n"
+EPOCH_CSV_HEADER = ",".join(f.name for f in fields(EpochRecord))
 
 
 def report_to_dict(report: metrics.EvalReport) -> dict:
-    doc = {
-        "epoch": report.epoch,
-        "method": report.method,
-        "overall_auc": report.overall_auc,
-        "threshold_curve": [
-            {"threshold": p.threshold, "auc": p.auc, "sample_count": p.sample_count}
-            for p in report.threshold_curve
-        ],
-    }
-    if report.uncertainty_histogram is not None:
+    doc = asdict(report)
+    if report.uncertainty_histogram is None:
+        del doc["uncertainty_histogram"]
+    else:
         doc["uncertainty_histogram"] = {
-            "counts": report.uncertainty_histogram.counts.tolist(),
-            "edges": report.uncertainty_histogram.edges.tolist(),
+            key: array.tolist() for key, array in doc["uncertainty_histogram"].items()
         }
     return doc
-
-
-def threshold_curves_csv(reports) -> str:
-    lines = ["epoch,threshold,auc,sample_count"]
-    for report in reports:
-        for p in report.threshold_curve:
-            lines.append(",".join([
-                str(report.epoch), _fmt(p.threshold), _fmt(p.auc),
-                str(p.sample_count),
-            ]))
-    return "\n".join(lines) + "\n"
 
 
 def _emit_run_artifacts(result: RunResult, out_dir: Path, formats) -> dict:
     files = {}
     csv_path = out_dir / "epochs.csv"
-    _write_atomic(csv_path, epoch_records_csv(result.records))
+    _write_atomic(csv_path, _csv(EPOCH_CSV_HEADER, map(astuple, result.records)))
     files["epochs_csv"] = str(csv_path)
     if "csv" in formats:
         curves = out_dir / "threshold_curves.csv"
-        _write_atomic(curves, threshold_curves_csv(result.reports))
+        _write_atomic(curves, _csv("epoch,threshold,auc,sample_count", (
+            (report.epoch, p.threshold, p.auc, p.sample_count)
+            for report in result.reports for p in report.threshold_curve)))
         files["threshold_curves_csv"] = str(curves)
     if "json" in formats:
         for report in result.reports:
@@ -299,21 +284,15 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{cfg_path}: malformed JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{cfg_path}: config must be a JSON object")
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    plan, spec, formats = _parse_config(cfg)
     started = time.time()
-    plan = _plan_from_config(cfg)
-    dataset = _load_config_dataset(cfg)
+    dataset = (_read_dataset(Path(cfg["dataset_csv"])) if "dataset_csv" in cfg
+               else _generate_dataset(cfg["dataset"])[0])
+    pair = datamod.split(dataset, spec)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = datamod.SplitSpec(
-        train_fraction=float(cfg.get("train_fraction", 0.8)),
-        val_fraction=float(cfg.get("val_fraction", 0.2)),
-        seed=plan.seed,
-    )
-    result = run_plan(plan, datamod.split(dataset, spec))
-    files = _emit_run_artifacts(result, out_dir, cfg.get("report_formats", ["csv", "json"]))
+    result = run_plan(plan, pair)
+    files = _emit_run_artifacts(result, out_dir, formats)
     manifest = {
         "config": cfg,
         "seed": result.plan.seed,
@@ -329,9 +308,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net = load_model(Path(args.model))
     ds = datamod.load_csv(Path(args.data))
-    if ds.dim != net.input_dim:
+    if (ds.dim, ds.class_count) != (net.input_dim, net.class_count):
         raise ConfigError(
-            f"model expects {net.input_dim} features, dataset has {ds.dim}"
+            f"model expects {net.input_dim} features and {net.class_count} classes, "
+            f"dataset has {ds.dim} and {ds.class_count}"
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,20 +330,20 @@ def cmd_compare(args) -> int:
         raise ConfigError("methods list must not be empty")
     if len(methods) < 2 and len(lambdas) < 2:
         raise ConfigError("need at least two methods or two lambda values")
-    bad = [m for m in methods if m not in ("ce", "edl", "tedl")]
+    bad = [m for m in methods if m not in METHOD_MODES]
     if bad:
         raise ConfigError(f"unknown methods: {', '.join(bad)}")
     seed = _env_seed(args.seed)
-    mode_of = {"ce": "ce_only", "edl": "edl_only", "tedl": "tedl"}
-    head_of = {"edl": "relu_evidence", "tedl": "elu_evidence"}
     plans = [
         (method, lam, TrainPlan(
-            mode=mode_of[method],
+            mode=METHOD_MODES[method],
             stage1_epochs=args.stage1_epochs,
             stage2_epochs=args.stage2_epochs,
             lam=lam,
             seed=seed,
-            evidence_head_stage2=head_of.get(method, "elu_evidence"),
+            # single-stage EDL is the ReLU-evidence baseline
+            evidence_head_stage2=("relu_evidence" if method == "edl"
+                                  else TrainPlan.evidence_head_stage2),
         ))
         for method in methods for lam in lambdas
     ]
@@ -372,14 +352,11 @@ def cmd_compare(args) -> int:
         raise ConfigError("; ".join(errors))
 
     data_path = Path(args.data)
-    if not data_path.exists():
-        raise ConfigError(f"dataset file not found: {data_path}")
-    dataset = datamod.load_csv(data_path)
-    pair = datamod.split(dataset, datamod.SplitSpec(seed=seed))
+    pair = datamod.split(_read_dataset(data_path), datamod.SplitSpec(seed=seed))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["method,lambda,epoch,stage,overall_auc"]
+    rows = []
     run_status = {}
     curve_docs = {}
     for method, lam, plan in plans:
@@ -388,18 +365,15 @@ def cmd_compare(args) -> int:
             result = run_plan(plan, pair)
         except Exception as exc:  # keep the other runs; the row's AUC stays empty
             run_status[tag] = f"failed: {exc}"
-            rows.append(f"{method},{_fmt(lam)},,,")
+            rows.append((method, lam, None, None, None))
             continue
         run_status[tag] = "ok"
-        for rec, report in zip(result.records, result.reports):
-            rows.append(",".join([
-                method, _fmt(lam), str(rec.epoch), rec.stage,
-                _fmt(report.overall_auc),
-            ]))
+        rows += [(method, lam, rec.epoch, rec.stage, report.overall_auc)
+                 for rec, report in zip(result.records, result.reports)]
         curve_docs[tag] = [report_to_dict(r) for r in result.reports]
 
     table = out_dir / "comparison.csv"
-    _write_atomic(table, "\n".join(rows) + "\n")
+    _write_atomic(table, _csv("method,lambda,epoch,stage,overall_auc", rows))
     curves = out_dir / "threshold_curves.json"
     _write_atomic(curves, json.dumps(curve_docs, indent=1))
     manifest = {
@@ -433,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         if key == "soft":
             p_gen.add_argument("--soft", action="store_true")
         else:
-            p_gen.add_argument(f"--{key}", default=default,
-                               choices=["blobs", "ring"] if key == "kind" else None)
+            p_gen.add_argument(f"--{key}", default=default)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -450,11 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="compare methods / lambda sweep")
     p_cmp.add_argument("--data", required=True)
-    p_cmp.add_argument("--methods", default="ce,edl,tedl")
-    p_cmp.add_argument("--lambdas", default="0.1")
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--stage1-epochs", type=int, default=10)
-    p_cmp.add_argument("--stage2-epochs", type=int, default=10)
+    p_cmp.add_argument("--methods", default=",".join(METHOD_MODES))
+    p_cmp.add_argument("--lambdas", default=str(TrainPlan.lam))
+    p_cmp.add_argument("--seed", type=int, default=TrainPlan.seed)
+    p_cmp.add_argument("--stage1-epochs", type=int, default=TrainPlan.stage1_epochs)
+    p_cmp.add_argument("--stage2-epochs", type=int, default=TrainPlan.stage2_epochs)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
     return parser

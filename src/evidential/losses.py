@@ -28,10 +28,6 @@ class EvidentialOutput:
     uncertainty: np.ndarray  # K / strength
     head: str
 
-    @property
-    def class_count(self) -> int:
-        return self.alpha.shape[1]
-
     def dead_fraction(self, tol: float = 1e-8) -> float:
         """Share of rows whose evidence is everywhere <= tol."""
         return float(np.mean(np.all(self.evidence <= tol, axis=1)))
@@ -72,8 +68,7 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
 
 
 def _check_label_rows(y: np.ndarray) -> None:
-    sums = y.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if np.any(~(np.abs(y.sum(axis=1) - 1.0) <= 1e-6)):  # a NaN or inf row fails too
         raise ValueError("label rows must sum to 1")
 
 

@@ -50,14 +50,18 @@ def roc_auc(scores, labels) -> float | None:
     """Mann-Whitney AUC with half credit for ties, O(n log n).
 
     Returns None when only one class is present (never a fabricated
-    0.5 and never NaN). Non-finite scores raise ValueError.
+    0.5 and never NaN). Non-finite scores and labels other than 0 or 1
+    raise ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel().astype(int)
+    labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+    labels = labels.astype(int)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -16,6 +16,9 @@ import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "elu", "identity")
 HEADS = ("softmax", "relu_evidence", "elu_evidence", "identity")
+# An evidence head is the hidden activation of the same name on the logits.
+EVIDENCE_ACTIVATION = {"relu_evidence": "relu", "elu_evidence": "elu"}
+_HOSTILE_SCALE = 0.01  # final-layer weight factor of the hostile init
 
 
 class NumericError(ValueError):
@@ -124,15 +127,15 @@ class GradientTape:
 
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
-    batch_size: int = 0
 
     def global_norm(self) -> float:
-        total = 0.0
-        for g in self.weights:
-            total += float(np.sum(g * g))
-        for g in self.biases:
-            total += float(np.sum(g * g))
-        return float(np.sqrt(total))
+        return float(np.sqrt(sum(float(np.sum(g * g)) for g in self.weights + self.biases)))
+
+
+def parameters(net: Network) -> list[np.ndarray]:
+    """Every layer's weights, then every layer's bias: the order of
+    `tape.weights + tape.biases` for a GradientTape of `net`."""
+    return [layer.weights for layer in net.layers] + [layer.bias for layer in net.layers]
 
 
 def _forward_cached(net: Network, x: np.ndarray):
@@ -158,14 +161,10 @@ def _forward_cached(net: Network, x: np.ndarray):
 def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
     if head == "softmax":
         return softmax(logits)
-    if head == "relu_evidence":
-        return np.maximum(logits, 0.0)
-    if head == "elu_evidence":
-        # negative branch computed on clipped input so expm1 never sees
-        # large positives; clamp keeps evidence strictly above -1
-        # (alpha strictly positive) even where expm1 rounds to -1
-        neg = np.expm1(np.minimum(logits, 0.0))
-        return np.maximum(np.where(logits > 0.0, logits, neg), -1.0 + 1e-15)
+    if head in EVIDENCE_ACTIVATION:
+        # the clamp keeps ELU evidence strictly above -1 (alpha strictly
+        # positive) even where expm1 rounds to -1; ReLU evidence is >= 0
+        return np.maximum(_activate(EVIDENCE_ACTIVATION[head], logits), -1.0 + 1e-15)
     return logits
 
 
@@ -204,11 +203,8 @@ def backward(net: Network, x, upstream, cache=None) -> GradientTape:
     if net.head == "softmax":
         p = softmax(logits)
         g = p * (upstream - np.sum(upstream * p, axis=1, keepdims=True))
-    elif net.head == "relu_evidence":
-        g = upstream * (logits > 0.0)
-    elif net.head == "elu_evidence":
-        g = upstream * np.where(logits > 0.0, 1.0,
-                                np.exp(np.minimum(logits, 0.0)))
+    elif net.head in EVIDENCE_ACTIVATION:
+        g = upstream * _activate_grad(EVIDENCE_ACTIVATION[net.head], logits)
     else:
         g = upstream
 
@@ -223,7 +219,7 @@ def backward(net: Network, x, upstream, cache=None) -> GradientTape:
         b_grads[idx] = g.sum(axis=0)
         if idx > 0:
             g = g @ layer.weights.T
-    return GradientTape(weights=w_grads, biases=b_grads, batch_size=x.shape[0])
+    return GradientTape(weights=w_grads, biases=b_grads)
 
 
 def init_network(
@@ -233,15 +229,14 @@ def init_network(
     seed: int = 0,
     init_mode: str = "standard",
     hostile_bias: float = 3.0,
-    hostile_scale: float = 0.01,
 ) -> Network:
     """Build a network with Glorot-uniform weights and zero biases.
 
     `sizes` is the full layer-size chain, e.g. [d, 32, K]. The default
     activation is tanh on hidden layers and identity on the last layer.
-    The hostile init mode shrinks the final layer's weights and offsets
-    its bias to -hostile_bias, which starves a ReLU evidence head of
-    gradient from the very first step.
+    The hostile init mode scales the final layer's weights by
+    _HOSTILE_SCALE and offsets its bias to -hostile_bias, which starves
+    a ReLU evidence head of gradient from the very first step.
     """
     sizes = list(sizes)
     if len(sizes) < 2:
@@ -263,7 +258,7 @@ def init_network(
         b = np.zeros(fan_out)
         layers.append(Layer(weights=w, bias=b, activation=act))
     if init_mode == "hostile":
-        layers[-1].weights *= hostile_scale
+        layers[-1].weights *= _HOSTILE_SCALE
         layers[-1].bias -= hostile_bias
     return Network(layers=layers, head=head, class_count=sizes[-1])
 

@@ -17,6 +17,9 @@ import numpy as np
 from . import losses, metrics, ndcore
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class TrainingError(RuntimeError):
     """Non-finite loss or update; carries epoch/batch context."""
 
@@ -25,14 +28,10 @@ class TrainingError(RuntimeError):
 class OptimizerState:
     kind: str = "adam"  # adam | sgd
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
-    m_weights: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    m_biases: list = field(default_factory=list)
-    v_biases: list = field(default_factory=list)
+    # Adam's first and second moments, one per ndcore.parameters entry
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
 
     @classmethod
     def for_network(cls, net: ndcore.Network, kind: str, learning_rate: float):
@@ -40,11 +39,8 @@ class OptimizerState:
             raise ValueError(f"unknown optimizer {kind!r}")
         state = cls(kind=kind, learning_rate=learning_rate)
         if kind == "adam":
-            for layer in net.layers:
-                state.m_weights.append(np.zeros_like(layer.weights))
-                state.v_weights.append(np.zeros_like(layer.weights))
-                state.m_biases.append(np.zeros_like(layer.bias))
-                state.v_biases.append(np.zeros_like(layer.bias))
+            state.m = [np.zeros_like(p) for p in ndcore.parameters(net)]
+            state.v = [np.zeros_like(p) for p in ndcore.parameters(net)]
         return state
 
 
@@ -81,7 +77,7 @@ class TrainPlan:
             errors.append(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.lr_stage1 < 0 or self.lr_stage2 < 0:
             errors.append("learning rates must be >= 0")
-        if self.evidence_head_stage2 not in ("relu_evidence", "elu_evidence"):
+        if self.evidence_head_stage2 not in ndcore.EVIDENCE_ACTIVATION:
             errors.append("evidence_head_stage2 must be relu_evidence or elu_evidence")
         if self.init_mode not in ("standard", "hostile"):
             errors.append(f"init_mode must be standard or hostile, got {self.init_mode!r}")
@@ -116,30 +112,25 @@ class RunResult:
 
 def step(net: ndcore.Network, state: OptimizerState, tape: ndcore.GradientTape):
     """Apply one optimizer step in place; returns (net, state)."""
-    if len(tape.weights) != len(net.layers):
+    params = ndcore.parameters(net)
+    grads = tape.weights + tape.biases
+    if len(grads) != len(params):
         raise ValueError("tape does not mirror the network")
     state.step_count += 1
-    if state.kind == "sgd":
-        for layer, gw, gb in zip(net.layers, tape.weights, tape.biases):
-            layer.weights -= state.learning_rate * gw
-            layer.bias -= state.learning_rate * gb
-    else:
-        t = state.step_count
-        c1 = 1.0 - state.beta1 ** t
-        c2 = 1.0 - state.beta2 ** t
-        params = []
-        for i, layer in enumerate(net.layers):
-            params.append((layer.weights, tape.weights[i], state.m_weights[i], state.v_weights[i]))
-            params.append((layer.bias, tape.biases[i], state.m_biases[i], state.v_biases[i]))
-        for theta, g, m, v in params:
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            theta -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    for layer in net.layers:
-        if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
-            raise TrainingError("non-finite parameter after optimizer step")
+    c1 = 1.0 - BETA1 ** state.step_count
+    c2 = 1.0 - BETA2 ** state.step_count
+    for i, (theta, g) in enumerate(zip(params, grads)):
+        if state.kind == "sgd":
+            theta -= state.learning_rate * g
+        else:
+            m, v = state.m[i], state.v[i]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            theta -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
+    if not all(np.all(np.isfinite(theta)) for theta in params):
+        raise TrainingError("non-finite parameter after optimizer step")
     return net, state
 
 

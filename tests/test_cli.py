@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from evidential import cli, ndcore
+from evidential import cli, metrics, ndcore
 from evidential.cli import main
 from evidential.data import gen_blobs, load_csv, save_csv
 from evidential.train import TrainingError
@@ -44,9 +44,12 @@ CONFIG_ERRORS = {
     "dataset_k_above_d": {"dataset": {"kind": "blobs", "n": 100, "d": 2, "k": 3}},
     "hidden_size_fractional": {"hidden_sizes": [1.5]},
     "batch_size_fractional": {"batch_size": 12.7},
+    "split_fractions_sum_above_1": {"train_fraction": 0.9, "val_fraction": 0.2},
+    "dataset_unknown_kind": {"dataset": {"kind": "cube", "n": 100}},
     "gen_k_above_d": ["gen", "--k", "3", "--d", "2"],
     "gen_ring_k1": ["gen", "--kind", "ring", "--k", "1"],
     "gen_n_fractional": ["gen", "--n", "12.5"],
+    "gen_unknown_kind": ["gen", "--kind", "cube"],
     "compare_negative_lambda": ["compare", "--data", "{data}", "--lambdas", "-0.5"],
     "compare_lambda_not_a_number": ["compare", "--data", "{data}", "--lambdas", "abc"],
     "compare_tedl_without_stage1": ["compare", "--data", "{data}", "--methods", "ce,tedl",
@@ -79,6 +82,65 @@ def test_integral_floats_accepted(tmp_path):
         assert run_cli("train", "--config", str(cfg_path)) == 0
         runs.append((tmp_path / name / "run" / "epochs.csv").read_bytes())
     assert runs[0] == runs[1]
+
+
+def test_dataset_kind_defaults_to_blobs(tmp_path):
+    runs = []
+    for name, kind in (("default", {}), ("blobs", {"kind": "blobs"})):
+        (tmp_path / name).mkdir()
+        dataset = {"n": 200, "d": 2, "k": 2, "sep": 6.0, "seed": 0, **kind}
+        cfg_path, _ = write_config(tmp_path / name, dataset=dataset, stage1_epochs=1,
+                                   stage2_epochs=1)
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        runs.append((tmp_path / name / "run" / "epochs.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_split_failure_leaves_no_output_dir(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, train_fraction=0.99, val_fraction=0.001,
+                               dataset={"kind": "blobs", "n": 200, "seed": 0})
+    assert run_cli("train", "--config", str(cfg_path)) == 2
+    assert "split fractions too small" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+class TestArtifactFormats:
+    def test_epochs_csv_header(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path, mode="ce_only", stage1_epochs=1, stage2_epochs=0)
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        header = (tmp_path / "run" / "epochs.csv").read_text().splitlines()[0]
+        assert header == ("epoch,stage,loss_total,loss_base,loss_kl,lambda_t,"
+                          "grad_norm_mean,grad_norm_max,val_auc,dead_evidence_frac")
+
+    def test_failed_compare_rows(self, tmp_path, monkeypatch):
+        def run_plan(plan, pair):
+            raise TrainingError("non-finite loss at stage1 epoch 0, batch 0")
+
+        monkeypatch.setattr(cli, "run_plan", run_plan)
+        data_path = tmp_path / "data.csv"
+        save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data_path)
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--data", str(data_path), "--methods", "ce,edl",
+                       "--out", str(out)) == 0
+        assert (out / "comparison.csv").read_text() == (
+            "method,lambda,epoch,stage,overall_auc\n"
+            "ce,0.10000000000000001,,,\n"
+            "edl,0.10000000000000001,,,\n")
+
+    def test_report_dict_keys(self):
+        labels = np.array([0, 1, 1])
+        raw = np.array([[0.8, 0.2], [0.1, 0.9], [0.4, 0.6]])
+        softmax_doc = cli.report_to_dict(metrics.evaluate(raw, "softmax", labels, 3, "ce")[0])
+        assert list(softmax_doc) == ["epoch", "method", "overall_auc", "threshold_curve"]
+        assert softmax_doc["threshold_curve"] == []
+        evidence_doc = cli.report_to_dict(
+            metrics.evaluate(raw, "relu_evidence", labels, 3, "edl")[0])
+        assert list(evidence_doc) == ["epoch", "method", "overall_auc", "threshold_curve",
+                                      "uncertainty_histogram"]
+        assert list(evidence_doc["threshold_curve"][0]) == ["threshold", "auc", "sample_count"]
+        histogram = evidence_doc["uncertainty_histogram"]
+        assert list(histogram) == ["counts", "edges"] and sum(histogram["counts"]) == 3
+        json.dumps(evidence_doc)  # plain lists and numbers only
 
 
 class TestGen:
@@ -242,6 +304,17 @@ class TestEval:
         assert run_cli("eval", "--model", str(tmp_path / "run" / "model.json"),
                        "--data", str(data_path),
                        "--out", str(tmp_path / "e")) == 1
+
+    def test_class_count_mismatch(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        cli.save_model(ndcore.init_network([3, 4, 2], head="elu_evidence", seed=0), model)
+        data_path = tmp_path / "three.csv"
+        save_csv(gen_blobs(60, 3, 3, 6.0, seed=0), data_path)
+        out = tmp_path / "e"
+        assert run_cli("eval", "--model", str(model), "--data", str(data_path),
+                       "--out", str(out)) == 1
+        assert "2 classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupted_model_exit_2(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

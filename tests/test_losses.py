@@ -86,6 +86,11 @@ class TestBaseLoss:
         with pytest.raises(ValueError, match="sum to 1"):
             edl_base_loss(out, [[0.6, 0.6]])
 
+    def test_rejects_nan_label_row(self):
+        out = evidence_to_alpha([[1.0, 1.0]], "relu_evidence")
+        with pytest.raises(ValueError, match="sum to 1"):
+            edl_base_loss(out, [[np.nan, 1.0]])
+
     def test_dual_form_identity(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -337,6 +342,12 @@ class TestCrossEntropy:
         probs = np.array([[1.0, 0.0]])
         value, _ = cross_entropy_loss(probs, [[0.0, 1.0]])
         assert np.isfinite(value)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_label_row(self, bad):
+        with pytest.raises(ValueError, match="sum to 1"):
+            cross_entropy_loss([[0.5, 0.5]], [[bad, 1.0]])
 
 
 def test_harden_labels():

@@ -67,6 +67,12 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="finite"):
             roc_auc([0.1, bad, 0.3], [0, 1, 1])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 2], [0, 1, -1, 1], [0, 1, 0.5, 1],
+                                        [0, 1, float("nan"), 1]])
+    def test_labels_other_than_0_or_1_rejected(self, labels):
+        with pytest.raises(ValueError, match="0 or 1"):
+            roc_auc([0.1, 0.2, 0.9, 0.95], labels)
+
     def test_brute_force_agreement_with_ties(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
