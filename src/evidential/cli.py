@@ -113,6 +113,8 @@ def save_model(net: ndcore.Network, path: Path) -> None:
 
 
 def load_model(path: Path) -> ndcore.Network:
+    if not Path(path).exists():
+        raise ConfigError(f"model file not found: {path}")
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a model file")
@@ -307,7 +309,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_model(Path(args.model))
-    ds = datamod.load_csv(Path(args.data))
+    ds = _read_dataset(Path(args.data))
     if (ds.dim, ds.class_count) != (net.input_dim, net.class_count):
         raise ConfigError(
             f"model expects {net.input_dim} features and {net.class_count} classes, "

@@ -97,19 +97,6 @@ def edl_base_loss(out: EvidentialOutput, y):
     return value, grad
 
 
-def edl_base_loss_phat_form(out: EvidentialOutput, y) -> float:
-    """The same loss written in terms of p_hat and strength only.
-
-    Kept as an independent evaluation path for cross-checking against
-    edl_base_loss; returns the batch mean only.
-    """
-    y = as_matrix(y)
-    p = out.p_hat
-    s = out.strength[:, None]
-    per_sample = np.sum((y - p) ** 2 + p * (1.0 - p) / (s + 1.0), axis=1)
-    return float(per_sample.mean())
-
-
 def make_alpha_tilde(alpha, y):
     """Replace the true class's concentration with 1, keeping the rest.
 

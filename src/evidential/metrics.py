@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses
+from . import losses, ndcore
 
 DEFAULT_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.01, 0.1), 10))
 
@@ -129,7 +129,7 @@ def evaluate(raw, head: str, labels, epoch: int, method: str):
     curve and the uncertainty histogram; for any other head `raw` is
     scored directly and `view` is None.
     """
-    if head not in ("relu_evidence", "elu_evidence"):
+    if head not in ndcore.EVIDENCE_ACTIVATION:
         return EvalReport(epoch=epoch, method=method,
                           overall_auc=multiclass_auc(raw, labels)), None
     view = losses.evidence_to_alpha(raw, head)

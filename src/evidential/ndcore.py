@@ -9,8 +9,8 @@ supported for losses that differentiate directly at the logits.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,11 +97,23 @@ class Layer:
         return self.weights.shape[1]
 
 
+def _pack(weights, biases):
+    """(one float64 vector of every weight then every bias, weight views, bias views)."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in [*weights, *biases]]
+    flat = np.concatenate([a.ravel() for a in arrays] or [np.zeros(0)])
+    ends = list(accumulate((a.size for a in arrays), initial=0))
+    views = [flat[i:j].reshape(a.shape) for a, i, j in zip(arrays, ends, ends[1:])]
+    return flat, views[:len(weights)], views[len(weights):]
+
+
 @dataclass
 class Network:
+    """Layers and a head; the layers given are copied into views of one vector, `theta`."""
+
     layers: list[Layer]
     head: str
     class_count: int
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -115,6 +127,13 @@ class Network:
                 raise ValueError("consecutive layer shapes do not compose")
         if self.layers[-1].fan_out != self.class_count:
             raise ValueError("final layer fan_out must equal class_count")
+        self.theta, weights, biases = _pack([layer.weights for layer in self.layers],
+                                            [layer.bias for layer in self.layers])
+        self.layers = [Layer(w, b, layer.activation)
+                       for layer, w, b in zip(self.layers, weights, biases)]
+
+    def __deepcopy__(self, memo):
+        return Network(self.layers, self.head, self.class_count)
 
     @property
     def input_dim(self) -> int:
@@ -123,19 +142,22 @@ class Network:
 
 @dataclass
 class GradientTape:
-    """Per-parameter gradients mirroring a Network's shapes."""
+    """Gradients in the layout of `Network.theta`, as views into `flat`."""
 
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+
+    def mirrors(self, net: Network) -> bool:
+        """Whether every array has the shape of its parameter in `net`."""
+        return ([g.shape for g in self.weights] == [lay.weights.shape for lay in net.layers]
+                and [g.shape for g in self.biases] == [lay.bias.shape for lay in net.layers])
 
     def global_norm(self) -> float:
         return float(np.sqrt(sum(float(np.sum(g * g)) for g in self.weights + self.biases)))
-
-
-def parameters(net: Network) -> list[np.ndarray]:
-    """Every layer's weights, then every layer's bias: the order of
-    `tape.weights + tape.biases` for a GradientTape of `net`."""
-    return [layer.weights for layer in net.layers] + [layer.bias for layer in net.layers]
 
 
 def _forward_cached(net: Network, x: np.ndarray):
@@ -146,8 +168,7 @@ def _forward_cached(net: Network, x: np.ndarray):
         raise ValueError(
             f"input has {x.shape[1]} columns, first layer expects {net.input_dim}"
         )
-    pre, post = [], []
-    z = x
+    pre, post, z = [], [], x
     for idx, layer in enumerate(net.layers):
         a = z @ layer.weights + layer.bias
         if not np.all(np.isfinite(a)):
@@ -208,18 +229,16 @@ def backward(net: Network, x, upstream, cache=None) -> GradientTape:
     else:
         g = upstream
 
-    n_layers = len(net.layers)
-    w_grads: list[np.ndarray] = [None] * n_layers
-    b_grads: list[np.ndarray] = [None] * n_layers
-    for idx in range(n_layers - 1, -1, -1):
+    w_grads, b_grads = [], []  # last layer first
+    for idx in reversed(range(len(net.layers))):
         layer = net.layers[idx]
         g = g * _activate_grad(layer.activation, pre[idx])
         inp = x if idx == 0 else post[idx - 1]
-        w_grads[idx] = inp.T @ g
-        b_grads[idx] = g.sum(axis=0)
+        w_grads.append(inp.T @ g)
+        b_grads.append(g.sum(axis=0))
         if idx > 0:
             g = g @ layer.weights.T
-    return GradientTape(weights=w_grads, biases=b_grads)
+    return GradientTape(weights=w_grads[::-1], biases=b_grads[::-1])
 
 
 def init_network(
@@ -265,10 +284,4 @@ def init_network(
 
 def swap_head(net: Network, new_head: str) -> Network:
     """Copy of `net` with a new output head; parameters are untouched."""
-    if new_head not in HEADS:
-        raise ValueError(f"unknown head {new_head!r}")
-    return Network(
-        layers=copy.deepcopy(net.layers),
-        head=new_head,
-        class_count=net.class_count,
-    )
+    return Network(net.layers, new_head, net.class_count)

@@ -10,7 +10,8 @@ epoch) and all state lives in float64 numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,9 +30,9 @@ class OptimizerState:
     kind: str = "adam"  # adam | sgd
     learning_rate: float = 1e-3
     step_count: int = 0
-    # Adam's first and second moments, one per ndcore.parameters entry
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    # Adam's first and second moments, each the shape of Network.theta
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @classmethod
     def for_network(cls, net: ndcore.Network, kind: str, learning_rate: float):
@@ -39,8 +40,7 @@ class OptimizerState:
             raise ValueError(f"unknown optimizer {kind!r}")
         state = cls(kind=kind, learning_rate=learning_rate)
         if kind == "adam":
-            state.m = [np.zeros_like(p) for p in ndcore.parameters(net)]
-            state.v = [np.zeros_like(p) for p in ndcore.parameters(net)]
+            state.m, state.v = np.zeros_like(net.theta), np.zeros_like(net.theta)
         return state
 
 
@@ -112,31 +112,25 @@ class RunResult:
 
 def step(net: ndcore.Network, state: OptimizerState, tape: ndcore.GradientTape):
     """Apply one optimizer step in place; returns (net, state)."""
-    params = ndcore.parameters(net)
-    grads = tape.weights + tape.biases
-    if len(grads) != len(params):
+    if not tape.mirrors(net):
         raise ValueError("tape does not mirror the network")
     state.step_count += 1
-    c1 = 1.0 - BETA1 ** state.step_count
-    c2 = 1.0 - BETA2 ** state.step_count
-    for i, (theta, g) in enumerate(zip(params, grads)):
-        if state.kind == "sgd":
-            theta -= state.learning_rate * g
-        else:
-            m, v = state.m[i], state.v[i]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            theta -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
-    if not all(np.all(np.isfinite(theta)) for theta in params):
+    g = tape.flat
+    if state.kind == "sgd":
+        net.theta -= state.learning_rate * g
+    else:
+        state.m = BETA1 * state.m + (1.0 - BETA1) * g
+        state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+        m_hat = state.m / (1.0 - BETA1 ** state.step_count)
+        v_hat = state.v / (1.0 - BETA2 ** state.step_count)
+        net.theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    if not np.all(np.isfinite(net.theta)):
         raise TrainingError("non-finite parameter after optimizer step")
     return net, state
 
 
 def _epoch_batches(n: int, batch_size: int, seed: int, stage: int, epoch: int):
-    rng = np.random.default_rng([seed, stage, epoch])
-    order = rng.permutation(n)
+    order = np.random.default_rng([seed, stage, epoch]).permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
@@ -204,9 +198,9 @@ def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int =
     if net.head != "softmax":
         raise ValueError("stage 1 requires a softmax head")
     # Cross-entropy differentiates at the logits, so gradients flow
-    # through an identity-head view of the same layers.
-    logits_net = ndcore.Network(layers=net.layers, head="identity",
-                                class_count=net.class_count)
+    # through an identity-head view that shares `net`'s parameters.
+    logits_net = copy.copy(net)
+    logits_net.head = "identity"
     return _run_stage(net, logits_net, data, plan, _cross_entropy, stage=1,
                       learning_rate=plan.lr_stage1, epochs=plan.stage1_epochs,
                       lam=0.0, epoch_offset=epoch_offset, method="ce")
@@ -233,14 +227,8 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
 def build_network(plan: TrainPlan, input_dim: int, class_count: int) -> ndcore.Network:
     sizes = [input_dim, *[int(h) for h in plan.hidden_sizes], class_count]
     activations = [plan.hidden_activation] * (len(sizes) - 2) + ["identity"]
-    return ndcore.init_network(
-        sizes,
-        activations=activations,
-        head="softmax",
-        seed=plan.seed,
-        init_mode=plan.init_mode,
-        hostile_bias=plan.hostile_bias,
-    )
+    return ndcore.init_network(sizes, activations, head="softmax", seed=plan.seed,
+                               init_mode=plan.init_mode, hostile_bias=plan.hostile_bias)
 
 
 def run_plan(plan: TrainPlan, data) -> RunResult:
@@ -257,8 +245,7 @@ def run_plan(plan: TrainPlan, data) -> RunResult:
         net, records, reports = train_stage2(net, data, plan, method="edl")
     else:
         net, rec1, rep1 = train_stage1(net, data, plan)
-        net, rec2, rep2 = train_stage2(
-            net, data, plan, epoch_offset=plan.stage1_epochs, method="tedl"
-        )
+        net, rec2, rep2 = train_stage2(net, data, plan, epoch_offset=plan.stage1_epochs,
+                                       method="tedl")
         records, reports = rec1 + rec2, rep1 + rep2
     return RunResult(network=net, records=records, reports=reports, plan=plan)

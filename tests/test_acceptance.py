@@ -19,7 +19,6 @@ from evidential.data import SplitSpec, gen_blobs, split
 from evidential.losses import (
     cross_entropy_loss,
     edl_base_loss,
-    edl_base_loss_phat_form,
     edl_total_loss,
     evidence_to_alpha,
     kl_to_uniform,
@@ -28,6 +27,7 @@ from evidential.metrics import roc_auc
 from evidential.ndcore import softmax
 from evidential.specfun import digamma, ln_gamma
 from evidential.train import TrainPlan, run_plan
+from oracles import edl_base_loss_phat_form
 
 N, D, K, SEP, NOISE = 20000, 10, 2, 2.0, 0.1
 SEEDS = (0, 1, 2, 3, 4)

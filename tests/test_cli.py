@@ -316,6 +316,24 @@ class TestEval:
         assert "2 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_data_exit_1(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        cli.save_model(ndcore.init_network([2, 4, 2], head="elu_evidence", seed=0), model)
+        out = tmp_path / "e"
+        assert run_cli("eval", "--model", str(model), "--data", str(tmp_path / "missing.csv"),
+                       "--out", str(out)) == 1
+        assert "dataset file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_model_exit_1(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        save_csv(gen_blobs(50, 2, 2, 6.0, seed=9), data_path)
+        out = tmp_path / "e"
+        assert run_cli("eval", "--model", str(tmp_path / "missing.json"),
+                       "--data", str(data_path), "--out", str(out)) == 1
+        assert "model file not found" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupted_model_exit_2(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         run_cli("train", "--config", str(cfg_path))

@@ -9,7 +9,6 @@ from evidential import losses
 from evidential.losses import (
     cross_entropy_loss,
     edl_base_loss,
-    edl_base_loss_phat_form,
     edl_total_loss,
     evidence_to_alpha,
     harden_labels,
@@ -18,6 +17,7 @@ from evidential.losses import (
     make_alpha_tilde,
 )
 from evidential.ndcore import softmax
+from oracles import edl_base_loss_phat_form
 
 
 def onehot(indices, k):

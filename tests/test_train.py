@@ -6,10 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evidential import ndcore
+from evidential import cli, ndcore
 from evidential.data import SplitSpec, gen_blobs, split
 from evidential.losses import lambda_schedule
 from evidential.train import (
+    BETA1,
+    BETA2,
+    EPS,
     EpochRecord,
     OptimizerState,
     TrainPlan,
@@ -35,6 +38,27 @@ def tape_for(net, gw, gb):
         weights=[np.full_like(l.weights, gw) for l in net.layers],
         biases=[np.full_like(l.bias, gb) for l in net.layers],
     )
+
+
+def reference_step(params, grads, kind, learning_rate, step_count, m, v):
+    """One SGD/Adam update applied array by array, in place: the form
+    `step` took before the parameters became one vector."""
+    c1 = 1.0 - BETA1 ** step_count
+    c2 = 1.0 - BETA2 ** step_count
+    for i, (theta, g) in enumerate(zip(params, grads)):
+        if kind == "sgd":
+            theta -= learning_rate * g
+        else:
+            mi, vi = m[i], v[i]
+            mi *= BETA1
+            mi += (1.0 - BETA1) * g
+            vi *= BETA2
+            vi += (1.0 - BETA2) * g * g
+            theta -= learning_rate * (mi / c1) / (np.sqrt(vi / c2) + EPS)
+
+
+def bits(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).view(np.int64)
 
 
 def easy_pair(seed=0, n=800, sep=6.0):
@@ -85,6 +109,40 @@ class TestStep:
         with pytest.raises(ValueError, match="mirror"):
             step(net, state, ndcore.GradientTape(weights=[], biases=[]))
 
+    @pytest.mark.parametrize("w_shape,b_shape", [
+        ((1, 2), (1,)),  # broadcasts against its parameters
+        ((2, 3), (2,)),  # the right flat size, with the weight transposed
+    ], ids=["broadcastable", "transposed"])
+    def test_mis_shaped_tape_rejected(self, w_shape, b_shape):
+        net = ndcore.init_network([3, 2], seed=0)
+        before = net.theta.copy()
+        state = OptimizerState.for_network(net, "sgd", 0.1)
+        tape = ndcore.GradientTape(weights=[np.ones(w_shape)], biases=[np.ones(b_shape)])
+        with pytest.raises(ValueError, match="tape does not mirror the network"):
+            step(net, state, tape)
+        assert state.step_count == 0
+        assert np.array_equal(net.theta, before)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_matches_per_array_reference_bit_for_bit(self, kind):
+        net = ndcore.init_network([5, 7, 4, 3], seed=1)
+        params = ([layer.weights.copy() for layer in net.layers]
+                  + [layer.bias.copy() for layer in net.layers])
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = OptimizerState.for_network(net, kind, 0.01)
+        rng = np.random.default_rng(2)
+        for t in range(50):
+            scale = (1.0, 1e-200, 1e100)[t % 3]  # random, tiny, huge
+            grads = [rng.standard_normal(p.shape) * scale for p in params]
+            n = len(net.layers)
+            step(net, state, ndcore.GradientTape(weights=grads[:n], biases=grads[n:]))
+            reference_step(params, grads, kind, 0.01, t + 1, m, v)
+            assert np.array_equal(net.theta.view(np.int64), bits(params))
+            if kind == "adam":
+                assert np.array_equal(state.m.view(np.int64), bits(m))
+                assert np.array_equal(state.v.view(np.int64), bits(v))
+
     def test_non_finite_update_raises(self):
         net = scalar_net(0.0)
         state = OptimizerState.for_network(net, "sgd", 0.1)
@@ -94,6 +152,51 @@ class TestStep:
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError, match="optimizer"):
             OptimizerState.for_network(scalar_net(), "rmsprop", 0.1)
+
+
+def _load_saved(net, tmp_path):
+    cli.save_model(net, tmp_path / "model.json")
+    return cli.load_model(tmp_path / "model.json")
+
+
+NETWORK_MAKERS = {
+    "init_network": lambda src, tmp_path: src,
+    "Network": lambda src, tmp_path: ndcore.Network(src.layers, src.head, src.class_count),
+    "load_model": _load_saved,
+    "swap_head": lambda src, tmp_path: ndcore.swap_head(src, "elu_evidence"),
+    "deepcopy": lambda src, tmp_path: copy.deepcopy(src),
+}
+
+
+@pytest.mark.parametrize("make", NETWORK_MAKERS.values(), ids=NETWORK_MAKERS.keys())
+def test_layers_are_views_into_theta(make, tmp_path):
+    src = ndcore.init_network([4, 5, 3], seed=0)
+    src_theta = src.theta.copy()
+    net = make(src, tmp_path)
+    before = [(layer.weights.copy(), layer.bias.copy()) for layer in net.layers]
+    step(net, OptimizerState.for_network(net, "sgd", 0.1), tape_for(net, 1.0, 1.0))
+    for layer, (w, b) in zip(net.layers, before):
+        assert np.all(layer.weights != w) and np.all(layer.bias != b)
+        assert np.shares_memory(net.theta, layer.weights)
+        assert np.shares_memory(net.theta, layer.bias)
+    if net is not src:
+        assert np.array_equal(src.theta, src_theta)
+
+
+def test_stage1_identity_view_shares_theta(monkeypatch):
+    seen = []
+    backward = ndcore.backward
+
+    def recording(back_net, *args):
+        seen.append(back_net)
+        return backward(back_net, *args)
+
+    monkeypatch.setattr(ndcore, "backward", recording)
+    net = build_network(TrainPlan(seed=0), 2, 2)
+    train_stage1(net, easy_pair(), TrainPlan(stage1_epochs=1, seed=0))
+    assert seen and all(view.head == "identity" for view in seen)
+    assert all(view.theta is net.theta and view.layers is net.layers for view in seen)
+    assert net.head == "softmax"
 
 
 class TestTrainPlanValidation:
