@@ -8,7 +8,6 @@ training harness, synthetic data generators, and ranking metrics.
 from .ndcore import (
     Layer,
     Network,
-    GradientTape,
     NumericError,
     forward,
     backward,

@@ -140,12 +140,15 @@ def load_model(path: Path) -> ndcore.Network:
 
 def _coerce(key: str, value, kind: type):
     """`value` as `kind` (tuple means a list of ints); an integer must be
-    integral. Raises ConfigError naming `key`."""
+    integral, and a bool is a bool key's only value. Raises ConfigError
+    naming `key`."""
     if kind is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(_coerce(key, v, int) for v in value)
     try:
+        if kind in (bool, int, float) and isinstance(value, bool) != (kind is bool):
+            raise ValueError
         coerced = kind(value)
         if kind is int and isinstance(value, float) and value != coerced:
             raise ValueError
@@ -352,6 +355,10 @@ def cmd_compare(args) -> int:
     errors = sorted({e for _, _, plan in plans for e in plan.validate()})
     if errors:
         raise ConfigError("; ".join(errors))
+    tags = [f"{method}_lambda{lam:g}" for method, lam, _ in plans]
+    shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if shared:
+        raise ConfigError(f"runs would share a tag: {', '.join(shared)}")
 
     data_path = Path(args.data)
     pair = datamod.split(_read_dataset(data_path), datamod.SplitSpec(seed=seed))
@@ -361,8 +368,7 @@ def cmd_compare(args) -> int:
     rows = []
     run_status = {}
     curve_docs = {}
-    for method, lam, plan in plans:
-        tag = f"{method}_lambda{lam:g}"
+    for tag, (method, lam, plan) in zip(tags, plans):
         try:
             result = run_plan(plan, pair)
         except Exception as exc:  # keep the other runs; the row's AUC stays empty

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ndcore import softmax
+
 _CSV_BLOCK_ROWS = 4096  # rows per formatted write: bounded memory, few calls
 _CSV_PARSE = dict(delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
 
@@ -16,7 +18,7 @@ def _unnormalised(labels: np.ndarray) -> np.ndarray:  # True for NaN and inf sum
     return ~(np.abs(labels.sum(axis=1) - 1.0) <= 1e-9)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     features: np.ndarray  # n x d
     labels: np.ndarray    # n x K, rows sum to 1
@@ -66,6 +68,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.train_fraction) and np.isfinite(self.val_fraction)):
+            raise ValueError("split fractions must be finite")
         if self.train_fraction <= 0 or self.val_fraction <= 0:
             raise ValueError("split fractions must be positive")
         if self.train_fraction + self.val_fraction > 1.0 + 1e-12:
@@ -87,10 +91,7 @@ def mixture_posterior(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Class posterior of the equal-weight unit-variance Gaussian
     mixture with the given centers."""
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    logit = -0.5 * d2
-    logit -= logit.max(axis=1, keepdims=True)
-    w = np.exp(logit)
-    return w / w.sum(axis=1, keepdims=True)
+    return softmax(-0.5 * d2)
 
 
 def gen_blobs(

@@ -17,7 +17,7 @@ from .specfun import _gamma_terms
 _LOG_CLAMP = 1e-15
 
 
-@dataclass
+@dataclass(eq=False)
 class EvidentialOutput:
     """Dirichlet view of an evidence-head forward pass."""
 
@@ -173,8 +173,8 @@ def edl_total_loss(out: EvidentialOutput, y, lambda_t: float):
 
 def lambda_schedule(epoch_t: int, lam: float) -> float:
     """Annealing coefficient min(1, t * lam) with zero-based t."""
-    if lam < 0.0:
-        raise ValueError("lambda increment must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lambda increment must be finite and >= 0")
     if epoch_t < 0:
         raise ValueError("epoch index must be >= 0")
     return min(1.0, epoch_t * lam)

@@ -19,7 +19,7 @@ class ThresholdPoint:
     sample_count: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Histogram:
     counts: np.ndarray
     edges: np.ndarray

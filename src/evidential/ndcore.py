@@ -72,7 +72,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass
+@dataclass(eq=False)
 class Layer:
     weights: np.ndarray  # fan_in x fan_out
     bias: np.ndarray     # fan_out
@@ -97,23 +97,14 @@ class Layer:
         return self.weights.shape[1]
 
 
-def _pack(weights, biases):
-    """(one float64 vector of every weight then every bias, weight views, bias views)."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in [*weights, *biases]]
-    flat = np.concatenate([a.ravel() for a in arrays] or [np.zeros(0)])
-    ends = list(accumulate((a.size for a in arrays), initial=0))
-    views = [flat[i:j].reshape(a.shape) for a, i, j in zip(arrays, ends, ends[1:])]
-    return flat, views[:len(weights)], views[len(weights):]
-
-
-@dataclass
+@dataclass(eq=False)
 class Network:
     """Layers and a head; the layers given are copied into views of one vector, `theta`."""
 
     layers: list[Layer]
     head: str
     class_count: int
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -127,10 +118,19 @@ class Network:
                 raise ValueError("consecutive layer shapes do not compose")
         if self.layers[-1].fan_out != self.class_count:
             raise ValueError("final layer fan_out must equal class_count")
-        self.theta, weights, biases = _pack([layer.weights for layer in self.layers],
-                                            [layer.bias for layer in self.layers])
+        # theta holds every weight, then every bias; (start, end, shape) per array
+        arrays = [layer.weights for layer in self.layers] + [layer.bias for layer in self.layers]
+        ends = list(accumulate((a.size for a in arrays), initial=0))
+        self._layout = [(i, j, a.shape) for a, i, j in zip(arrays, ends, ends[1:])]
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        weights, biases = self.views(self.theta)
         self.layers = [Layer(w, b, layer.activation)
                        for layer, w, b in zip(self.layers, weights, biases)]
+
+    def views(self, vec: np.ndarray):
+        """(weight views, bias views) of a vector in `theta`'s layout."""
+        arrays = [vec[i:j].reshape(shape) for i, j, shape in self._layout]
+        return arrays[:len(self.layers)], arrays[len(self.layers):]
 
     def __deepcopy__(self, memo):
         return Network(self.layers, self.head, self.class_count)
@@ -140,24 +140,10 @@ class Network:
         return self.layers[0].fan_in
 
 
-@dataclass
-class GradientTape:
-    """Gradients in the layout of `Network.theta`, as views into `flat`."""
-
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
-
-    def mirrors(self, net: Network) -> bool:
-        """Whether every array has the shape of its parameter in `net`."""
-        return ([g.shape for g in self.weights] == [lay.weights.shape for lay in net.layers]
-                and [g.shape for g in self.biases] == [lay.bias.shape for lay in net.layers])
-
-    def global_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(g * g)) for g in self.weights + self.biases)))
+def global_norm(net: Network, grad: np.ndarray) -> float:
+    """Norm of a gradient in `theta`'s layout, summed per array: weights, then biases."""
+    weights, biases = net.views(grad)
+    return float(np.sqrt(sum(float(np.sum(g * g)) for g in weights + biases)))
 
 
 def _forward_cached(net: Network, x: np.ndarray):
@@ -206,8 +192,9 @@ def forward(net: Network, x) -> np.ndarray:
     return forward_with_cache(net, x)[0]
 
 
-def backward(net: Network, x, upstream, cache=None) -> GradientTape:
-    """Chain `upstream` (gradient at the head output) back to parameters.
+def backward(net: Network, x, upstream, cache=None) -> np.ndarray:
+    """Chain `upstream` (gradient at the head output) back to parameters;
+    returns the gradient as one vector in `theta`'s layout.
 
     `cache` is the second result of `forward_with_cache(net, x)` on the
     same layers and parameters; without it the forward pass is rerun.
@@ -229,21 +216,22 @@ def backward(net: Network, x, upstream, cache=None) -> GradientTape:
     else:
         g = upstream
 
-    w_grads, b_grads = [], []  # last layer first
+    grad = np.empty_like(net.theta)
+    w_grads, b_grads = net.views(grad)
     for idx in reversed(range(len(net.layers))):
         layer = net.layers[idx]
         g = g * _activate_grad(layer.activation, pre[idx])
         inp = x if idx == 0 else post[idx - 1]
-        w_grads.append(inp.T @ g)
-        b_grads.append(g.sum(axis=0))
+        np.matmul(inp.T, g, out=w_grads[idx])
+        np.sum(g, axis=0, out=b_grads[idx])
         if idx > 0:
             g = g @ layer.weights.T
-    return GradientTape(weights=w_grads[::-1], biases=b_grads[::-1])
+    return grad
 
 
 def init_network(
     sizes,
-    activations=None,
+    hidden_activation: str = "tanh",
     head: str = "softmax",
     seed: int = 0,
     init_mode: str = "standard",
@@ -251,8 +239,8 @@ def init_network(
 ) -> Network:
     """Build a network with Glorot-uniform weights and zero biases.
 
-    `sizes` is the full layer-size chain, e.g. [d, 32, K]. The default
-    activation is tanh on hidden layers and identity on the last layer.
+    `sizes` is the full layer-size chain, e.g. [d, 32, K]. Hidden layers
+    share `hidden_activation`; the last layer is identity.
     The hostile init mode scales the final layer's weights by
     _HOSTILE_SCALE and offsets its bias to -hostile_bias, which starves
     a ReLU evidence head of gradient from the very first step.
@@ -262,15 +250,12 @@ def init_network(
         raise ValueError("need at least input and output sizes")
     if sizes[-1] < 2:
         raise ValueError("output size (class count) must be >= 2")
-    if activations is None:
-        activations = ["tanh"] * (len(sizes) - 2) + ["identity"]
-    if len(activations) != len(sizes) - 1:
-        raise ValueError("one activation tag per layer required")
     if init_mode not in ("standard", "hostile"):
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
     rng = np.random.default_rng(seed)
     layers = []
+    activations = [hidden_activation] * (len(sizes) - 2) + ["identity"]
     for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-a, a, size=(fan_in, fan_out))

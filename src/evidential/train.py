@@ -25,7 +25,7 @@ class TrainingError(RuntimeError):
     """Non-finite loss or update; carries epoch/batch context."""
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     kind: str = "adam"  # adam | sgd
     learning_rate: float = 1e-3
@@ -69,6 +69,8 @@ class TrainPlan:
             errors.append("tedl needs stage1_epochs >= 1 and stage2_epochs >= 1")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             errors.append("epoch counts must be >= 0")
+        if not np.all(np.isfinite([self.lam, self.lr_stage1, self.lr_stage2, self.hostile_bias])):
+            errors.append("lambda, learning rates and hostile_bias must be finite")
         if self.lam < 0:
             errors.append("lambda must be >= 0")
         if self.batch_size < 1:
@@ -110,17 +112,16 @@ class RunResult:
     plan: TrainPlan
 
 
-def step(net: ndcore.Network, state: OptimizerState, tape: ndcore.GradientTape):
-    """Apply one optimizer step in place; returns (net, state)."""
-    if not tape.mirrors(net):
+def step(net: ndcore.Network, state: OptimizerState, grad: np.ndarray):
+    """Apply one optimizer step in place, `grad` in `theta`'s layout; returns (net, state)."""
+    if grad.shape != net.theta.shape:
         raise ValueError("tape does not mirror the network")
     state.step_count += 1
-    g = tape.flat
     if state.kind == "sgd":
-        net.theta -= state.learning_rate * g
+        net.theta -= state.learning_rate * grad
     else:
-        state.m = BETA1 * state.m + (1.0 - BETA1) * g
-        state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+        state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+        state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
         m_hat = state.m / (1.0 - BETA1 ** state.step_count)
         v_hat = state.v / (1.0 - BETA2 ** state.step_count)
         net.theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
@@ -156,14 +157,14 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
         for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
             xb, yb = train_ds.features[idx], train_ds.labels[idx]
             output, cache = ndcore.forward_with_cache(net, xb)
-            loss, grad = loss_fn(output, yb, lambda_t)
+            loss, upstream = loss_fn(output, yb, lambda_t)
             if not np.isfinite(loss.total):
                 raise TrainingError(
                     f"non-finite loss at stage{stage} epoch {t}, batch {len(parts)}")
-            tape = ndcore.backward(back_net, xb, grad, cache)
-            step(net, opt, tape)
+            grad = ndcore.backward(back_net, xb, upstream, cache)
+            step(net, opt, grad)
             parts.append((loss.total, loss.base, loss.kl))
-            batch_norms.append(tape.global_norm())
+            batch_norms.append(ndcore.global_norm(net, grad))
         epoch = epoch_offset + t
         report, view = metrics.evaluate(ndcore.forward(net, val_ds.features), net.head,
                                         val_labels, epoch, method)
@@ -226,8 +227,7 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
 
 def build_network(plan: TrainPlan, input_dim: int, class_count: int) -> ndcore.Network:
     sizes = [input_dim, *[int(h) for h in plan.hidden_sizes], class_count]
-    activations = [plan.hidden_activation] * (len(sizes) - 2) + ["identity"]
-    return ndcore.init_network(sizes, activations, head="softmax", seed=plan.seed,
+    return ndcore.init_network(sizes, plan.hidden_activation, head="softmax", seed=plan.seed,
                                init_mode=plan.init_mode, hostile_bias=plan.hostile_bias)
 
 

@@ -54,6 +54,16 @@ CONFIG_ERRORS = {
     "compare_lambda_not_a_number": ["compare", "--data", "{data}", "--lambdas", "abc"],
     "compare_tedl_without_stage1": ["compare", "--data", "{data}", "--methods", "ce,tedl",
                                     "--stage1-epochs", "0"],
+    "lambda_nan": {"lambda": float("nan")},
+    "lambda_infinite": {"lambda": float("inf")},
+    "lr_stage1_infinite": {"lr_stage1": float("inf")},
+    "hostile_bias_nan": {"init_mode": "hostile", "hostile_bias": float("nan")},
+    "train_fraction_nan": {"train_fraction": float("nan")},
+    "dataset_soft_string": {"dataset": {"kind": "blobs", "n": 100, "soft": "false"}},
+    "epochs_boolean": {"stage1_epochs": True},
+    "compare_lambda_nan": ["compare", "--data", "{data}", "--lambdas", "nan"],
+    "compare_lambda_tags_collide": ["compare", "--data", "{data}", "--lambdas",
+                                    "0.1,0.10000001"],
 }
 
 

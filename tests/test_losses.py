@@ -312,6 +312,11 @@ class TestLambdaSchedule:
         with pytest.raises(ValueError):
             lambda_schedule(1, -0.1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_increment_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            lambda_schedule(0, lam)
+
 
 class TestCrossEntropy:
     def test_uniform_prediction(self):

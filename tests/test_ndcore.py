@@ -5,7 +5,6 @@ import pytest
 
 from evidential import ndcore
 from evidential.ndcore import (
-    GradientTape,
     Layer,
     Network,
     NumericError,
@@ -76,15 +75,15 @@ class TestBackward:
     def test_linear_weight_gradient(self):
         net = identity_net("identity")
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        tape = backward(net, x, np.ones((2, 2)))
-        assert np.allclose(tape.weights[0], x.T @ np.ones((2, 2)))
-        assert np.allclose(tape.biases[0], [2.0, 2.0])
+        grad_w, grad_b = net.views(backward(net, x, np.ones((2, 2))))
+        assert np.allclose(grad_w[0], x.T @ np.ones((2, 2)))
+        assert np.allclose(grad_b[0], [2.0, 2.0])
 
     def test_zero_upstream_zero_tape(self):
         net = init_network([3, 4, 2], head="elu_evidence", seed=5)
-        tape = backward(net, np.ones((6, 3)), np.zeros((6, 2)))
-        assert all(np.all(g == 0) for g in tape.weights)
-        assert all(np.all(g == 0) for g in tape.biases)
+        grad_w, grad_b = net.views(backward(net, np.ones((6, 3)), np.zeros((6, 2))))
+        assert all(np.all(g == 0) for g in grad_w)
+        assert all(np.all(g == 0) for g in grad_b)
 
     def test_input_unmodified(self):
         net = init_network([3, 2], head="softmax", seed=1)
@@ -108,12 +107,12 @@ class TestBackward:
         def scalar_loss():
             return float(np.sum(forward(net, x) * upstream))
 
-        tape = backward(net, x, upstream)
+        grad_w, grad_b = net.views(backward(net, x, upstream))
         h = 1e-5
         worst = 0.0
         for li, layer in enumerate(net.layers):
-            for arr, grad in ((layer.weights, tape.weights[li]),
-                              (layer.bias, tape.biases[li])):
+            for arr, grad in ((layer.weights, grad_w[li]),
+                              (layer.bias, grad_b[li])):
                 it = np.nditer(arr, flags=["multi_index"])
                 while not it.finished:
                     idx = it.multi_index
@@ -128,6 +127,47 @@ class TestBackward:
                         worst = max(worst, abs(fd - grad[idx]) / abs(fd))
                     it.iternext()
         assert worst < 1e-4
+
+
+def reference_gradients(net, x, upstream):
+    """Per-layer `inp.T @ g` and `g.sum(axis=0)` as separate arrays, for an
+    identity head: every weight gradient, then every bias gradient."""
+    _, (x, pre, post) = ndcore.forward_with_cache(net, x)
+    g, w_grads, b_grads = upstream, [], []
+    for idx in reversed(range(len(net.layers))):
+        g = g * ndcore._activate_grad(net.layers[idx].activation, pre[idx])
+        inp = x if idx == 0 else post[idx - 1]
+        w_grads.insert(0, inp.T @ g)
+        b_grads.insert(0, g.sum(axis=0))
+        if idx > 0:
+            g = g @ net.layers[idx].weights.T
+    return w_grads + b_grads
+
+
+@pytest.mark.parametrize("sizes,activation,rows", [
+    ([10, 8, 2], "relu", 128),
+    ([5, 7, 4, 3], "tanh", 37),
+    ([32, 64, 64, 10], "elu", 256),
+])
+def test_backward_writes_per_layer_products_bit_for_bit(sizes, activation, rows):
+    rng = np.random.default_rng(0)
+    net = init_network(sizes, activation, head="identity", seed=3)
+    x = rng.standard_normal((rows, sizes[0]))
+    upstream = rng.standard_normal((rows, sizes[-1]))
+    grad = backward(net, x, upstream)
+    assert grad.shape == net.theta.shape
+    expected = np.concatenate([a.ravel() for a in reference_gradients(net, x, upstream)])
+    assert np.array_equal(grad.view(np.int64), expected.view(np.int64))
+
+
+def test_global_norm_sums_array_by_array():
+    net = init_network([5, 7, 4, 3], seed=1)
+    rng = np.random.default_rng(4)
+    arrays = ([rng.standard_normal(layer.weights.shape) * 1e3 for layer in net.layers]
+              + [rng.standard_normal(layer.bias.shape) * 1e-3 for layer in net.layers])
+    grad = np.concatenate([a.ravel() for a in arrays])
+    expected = float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+    assert ndcore.global_norm(net, grad) == expected
 
 
 class TestInit:

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evidential import cli, ndcore
+from evidential import cli, losses, metrics, ndcore
 from evidential.data import SplitSpec, gen_blobs, split
 from evidential.losses import lambda_schedule
 from evidential.train import (
@@ -34,10 +34,11 @@ def scalar_net(weight=0.0, activation="identity", head="identity"):
 
 
 def tape_for(net, gw, gb):
-    return ndcore.GradientTape(
-        weights=[np.full_like(l.weights, gw) for l in net.layers],
-        biases=[np.full_like(l.bias, gb) for l in net.layers],
-    )
+    grad = np.empty_like(net.theta)
+    weights, biases = net.views(grad)
+    for w, b in zip(weights, biases):
+        w[...], b[...] = gw, gb
+    return grad
 
 
 def reference_step(params, grads, kind, learning_rate, step_count, m, v):
@@ -107,17 +108,18 @@ class TestStep:
         net = scalar_net(0.0)
         state = OptimizerState.for_network(net, "sgd", 0.1)
         with pytest.raises(ValueError, match="mirror"):
-            step(net, state, ndcore.GradientTape(weights=[], biases=[]))
+            step(net, state, np.zeros(0))
 
-    @pytest.mark.parametrize("w_shape,b_shape", [
-        ((1, 2), (1,)),  # broadcasts against its parameters
-        ((2, 3), (2,)),  # the right flat size, with the weight transposed
-    ], ids=["broadcastable", "transposed"])
-    def test_mis_shaped_tape_rejected(self, w_shape, b_shape):
+    @pytest.mark.parametrize("shape", [
+        (1,),    # broadcasts against its parameters
+        (7,),    # one value short of theta's 8
+        (8, 1),  # theta's size as a column
+    ], ids=["broadcastable", "too_short", "column"])
+    def test_mis_shaped_tape_rejected(self, shape):
         net = ndcore.init_network([3, 2], seed=0)
         before = net.theta.copy()
         state = OptimizerState.for_network(net, "sgd", 0.1)
-        tape = ndcore.GradientTape(weights=[np.ones(w_shape)], biases=[np.ones(b_shape)])
+        tape = np.ones(shape)
         with pytest.raises(ValueError, match="tape does not mirror the network"):
             step(net, state, tape)
         assert state.step_count == 0
@@ -135,8 +137,7 @@ class TestStep:
         for t in range(50):
             scale = (1.0, 1e-200, 1e100)[t % 3]  # random, tiny, huge
             grads = [rng.standard_normal(p.shape) * scale for p in params]
-            n = len(net.layers)
-            step(net, state, ndcore.GradientTape(weights=grads[:n], biases=grads[n:]))
+            step(net, state, np.concatenate([g.ravel() for g in grads]))
             reference_step(params, grads, kind, 0.01, t + 1, m, v)
             assert np.array_equal(net.theta.view(np.int64), bits(params))
             if kind == "adam":
@@ -181,6 +182,26 @@ def test_layers_are_views_into_theta(make, tmp_path):
         assert np.shares_memory(net.theta, layer.bias)
     if net is not src:
         assert np.array_equal(src.theta, src_theta)
+
+
+ARRAY_HOLDERS = {
+    "Layer": lambda: ndcore.Layer(np.eye(2), np.zeros(2)),
+    "Network": lambda: ndcore.init_network([3, 4, 2]),
+    "OptimizerState": lambda: OptimizerState.for_network(ndcore.init_network([3, 4, 2]),
+                                                         "adam", 1e-3),
+    "EvidentialOutput": lambda: losses.evidence_to_alpha([[1.0, 2.0], [0.5, 0.0]],
+                                                         "elu_evidence"),
+    "Histogram": lambda: metrics.uncertainty_histogram(
+        losses.evidence_to_alpha([[1.0, 2.0], [0.5, 0.0]], "elu_evidence"), 4),
+    "Dataset": lambda: gen_blobs(20, 2, 2, 4.0, seed=0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_to_a_bool(make):
+    x = make()
+    assert isinstance(x == copy.deepcopy(x), bool)
+    assert x == x
 
 
 def test_stage1_identity_view_shares_theta(monkeypatch):
