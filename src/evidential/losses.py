@@ -46,10 +46,10 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
     strength, expected probabilities and uncertainty."""
     e = as_matrix(evidence)
     if head == "relu_evidence":
-        if np.any(e < 0.0):
+        if (e < 0.0).any():
             raise ValueError("relu_evidence requires evidence >= 0")
     elif head == "elu_evidence":
-        if np.any(e <= -1.0):
+        if (e <= -1.0).any():
             raise ValueError("elu_evidence requires evidence > -1")
     else:
         raise ValueError(f"not an evidence head: {head!r}")
@@ -67,9 +67,35 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
     )
 
 
-def _check_label_rows(y: np.ndarray) -> None:
-    if np.any(~(np.abs(y.sum(axis=1) - 1.0) <= 1e-6)):  # a NaN or inf row fails too
+def check_label_rows(y: np.ndarray) -> None:
+    """Raise unless every label row sums to 1 (a NaN or inf row fails too)."""
+    if (~(np.abs(y.sum(axis=1) - 1.0) <= 1e-6)).any():
         raise ValueError("label rows must sum to 1")
+
+
+def _checked_labels(out: EvidentialOutput, y) -> np.ndarray:
+    y = as_matrix(y)
+    if y.shape != out.alpha.shape:
+        raise ValueError("label shape must match alpha shape")
+    check_label_rows(y)
+    return y
+
+
+def _edl_base(out: EvidentialOutput, y: np.ndarray):
+    n = y.shape[0]
+    p = out.p_hat
+    s = out.strength[:, None]
+    q = (p * p).sum(axis=1, keepdims=True)
+
+    per_sample = ((y - p) ** 2).sum(axis=1) + (1.0 - q[:, 0]) / (s[:, 0] + 1.0)
+    value = float(per_sample.mean())
+
+    resid = p - y
+    inner = (resid * p).sum(axis=1, keepdims=True)
+    g_fit = 2.0 * (resid - inner) / s
+    g_var = -2.0 * (p - q) / (s * (s + 1.0)) - (1.0 - q) / (s + 1.0) ** 2
+    grad = (g_fit + g_var) / n
+    return value, grad
 
 
 def edl_base_loss(out: EvidentialOutput, y):
@@ -77,24 +103,11 @@ def edl_base_loss(out: EvidentialOutput, y):
 
     Returns (batch mean, gradient w.r.t. evidence).
     """
-    y = as_matrix(y)
-    if y.shape != out.alpha.shape:
-        raise ValueError("label shape must match alpha shape")
-    _check_label_rows(y)
-    n = y.shape[0]
-    p = out.p_hat
-    s = out.strength[:, None]
-    q = np.sum(p * p, axis=1, keepdims=True)
+    return _edl_base(out, _checked_labels(out, y))
 
-    per_sample = np.sum((y - p) ** 2, axis=1) + (1.0 - q[:, 0]) / (s[:, 0] + 1.0)
-    value = float(per_sample.mean())
 
-    resid = p - y
-    inner = np.sum(resid * p, axis=1, keepdims=True)
-    g_fit = 2.0 * (resid - inner) / s
-    g_var = -2.0 * (p - q) / (s * (s + 1.0)) - (1.0 - q) / (s + 1.0) ** 2
-    grad = (g_fit + g_var) / n
-    return value, grad
+def _alpha_tilde(alpha: np.ndarray, y_hard: np.ndarray) -> np.ndarray:
+    return y_hard + (1.0 - y_hard) * alpha
 
 
 def make_alpha_tilde(alpha, y):
@@ -112,7 +125,24 @@ def make_alpha_tilde(alpha, y):
     )
     if not is_onehot:
         raise ValueError("alpha_tilde requires one-hot labels")
-    return y + (1.0 - y) * alpha
+    return _alpha_tilde(alpha, y)
+
+
+def _kl_uniform(at: np.ndarray):
+    n, k = at.shape
+    st = at.sum(axis=1)
+    # One special-function pass over [alpha_tilde, S_tilde, K].
+    lg, dg, tg = _gamma_terms(np.concatenate([at.ravel(), st, [float(k)]]), "kl_to_uniform")
+    m = n * k
+    per_sample = (
+        lg[m:-1]
+        - lg[-1]
+        - lg[:m].reshape(n, k).sum(axis=1)
+        + ((at - 1.0) * (dg[:m].reshape(n, k) - dg[m:-1][:, None])).sum(axis=1)
+    )
+    value = float(per_sample.mean())
+    grad = ((at - 1.0) * tg[:m].reshape(n, k) - ((st - k) * tg[m:-1])[:, None]) / n
+    return value, grad
 
 
 def kl_to_uniform(alpha_tilde):
@@ -123,20 +153,7 @@ def kl_to_uniform(alpha_tilde):
     at = as_matrix(alpha_tilde)
     if np.any(at <= 0.0):
         raise ValueError("alpha_tilde must be strictly positive")
-    n, k = at.shape
-    st = at.sum(axis=1)
-    # One special-function pass over [alpha_tilde, S_tilde, K].
-    lg, dg, tg = _gamma_terms(np.concatenate([at.ravel(), st, [float(k)]]), "kl_to_uniform")
-    m = n * k
-    per_sample = (
-        lg[m:-1]
-        - lg[-1]
-        - lg[:m].reshape(n, k).sum(axis=1)
-        + np.sum((at - 1.0) * (dg[:m].reshape(n, k) - dg[m:-1][:, None]), axis=1)
-    )
-    value = float(per_sample.mean())
-    grad = ((at - 1.0) * tg[:m].reshape(n, k) - ((st - k) * tg[m:-1])[:, None]) / n
-    return value, grad
+    return _kl_uniform(at)
 
 
 def harden_labels(y) -> np.ndarray:
@@ -145,6 +162,15 @@ def harden_labels(y) -> np.ndarray:
     hard = np.zeros_like(y)
     hard[np.arange(y.shape[0]), np.argmax(y, axis=1)] = 1.0
     return hard
+
+
+def _edl_total(out: EvidentialOutput, y: np.ndarray, y_hard: np.ndarray, lambda_t: float):
+    """`edl_total_loss` on checked label rows `y` and `y_hard = harden_labels(y)`."""
+    base_value, grad = _edl_base(out, y)
+    kl_value, kl_grad = _kl_uniform(_alpha_tilde(out.alpha, y_hard))
+    grad = grad + lambda_t * (1.0 - y_hard) * kl_grad
+    return LossValue(total=base_value + lambda_t * kl_value, base=base_value,
+                     kl=kl_value, lambda_t=lambda_t), grad
 
 
 def edl_total_loss(out: EvidentialOutput, y, lambda_t: float):
@@ -156,19 +182,8 @@ def edl_total_loss(out: EvidentialOutput, y, lambda_t: float):
     """
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError("lambda_t must lie in [0, 1]")
-    y = as_matrix(y)
-    base_value, grad = edl_base_loss(out, y)
-    y_hard = harden_labels(y)
-    alpha_tilde = make_alpha_tilde(out.alpha, y_hard)
-    kl_value, kl_grad = kl_to_uniform(alpha_tilde)
-    grad = grad + lambda_t * (1.0 - y_hard) * kl_grad
-    loss = LossValue(
-        total=base_value + lambda_t * kl_value,
-        base=base_value,
-        kl=kl_value,
-        lambda_t=lambda_t,
-    )
-    return loss, grad
+    y = _checked_labels(out, y)
+    return _edl_total(out, y, harden_labels(y), lambda_t)
 
 
 def lambda_schedule(epoch_t: int, lam: float) -> float:
@@ -191,8 +206,8 @@ def cross_entropy_loss(probs, y):
     y = as_matrix(y)
     if y.shape != p.shape:
         raise ValueError("label shape must match probability shape")
-    _check_label_rows(y)
+    check_label_rows(y)
     n = p.shape[0]
-    value = float(-np.sum(y * np.log(np.maximum(p, _LOG_CLAMP))) / n)
+    value = float(-(y * np.log(np.maximum(p, _LOG_CLAMP))).sum() / n)
     grad_logits = (p - y) / n
     return value, grad_logits

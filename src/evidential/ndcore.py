@@ -36,7 +36,7 @@ def as_matrix(values) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite value in {context}")
 
 
@@ -52,9 +52,9 @@ def _activate(tag: str, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activate_grad(tag: str, a: np.ndarray) -> np.ndarray:
+def _activate_grad(tag: str, a: np.ndarray, tanh_a: np.ndarray | None = None) -> np.ndarray:
     if tag == "tanh":
-        t = np.tanh(a)
+        t = np.tanh(a) if tanh_a is None else tanh_a
         return 1.0 - t * t
     if tag == "relu":
         return (a > 0.0).astype(np.float64)
@@ -142,8 +142,8 @@ class Network:
 
 def global_norm(net: Network, grad: np.ndarray) -> float:
     """Norm of a gradient in `theta`'s layout, summed per array: weights, then biases."""
-    weights, biases = net.views(grad)
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in weights + biases)))
+    squares = grad * grad
+    return float(np.sqrt(sum(float(squares[i:j].sum()) for i, j, _ in net._layout)))
 
 
 def _forward_cached(net: Network, x: np.ndarray):
@@ -157,7 +157,7 @@ def _forward_cached(net: Network, x: np.ndarray):
     pre, post, z = [], [], x
     for idx, layer in enumerate(net.layers):
         a = z @ layer.weights + layer.bias
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NumericError(f"non-finite pre-activation in layer {idx}")
         z = _activate(layer.activation, a)
         pre.append(a)
@@ -220,10 +220,11 @@ def backward(net: Network, x, upstream, cache=None) -> np.ndarray:
     w_grads, b_grads = net.views(grad)
     for idx in reversed(range(len(net.layers))):
         layer = net.layers[idx]
-        g = g * _activate_grad(layer.activation, pre[idx])
+        if layer.activation != "identity":  # its derivative is 1
+            g = g * _activate_grad(layer.activation, pre[idx], post[idx])
         inp = x if idx == 0 else post[idx - 1]
         np.matmul(inp.T, g, out=w_grads[idx])
-        np.sum(g, axis=0, out=b_grads[idx])
+        g.sum(axis=0, out=b_grads[idx])
         if idx > 0:
             g = g @ layer.weights.T
     return grad

@@ -125,7 +125,7 @@ def step(net: ndcore.Network, state: OptimizerState, grad: np.ndarray):
         m_hat = state.m / (1.0 - BETA1 ** state.step_count)
         v_hat = state.v / (1.0 - BETA2 ** state.step_count)
         net.theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
-    if not np.all(np.isfinite(net.theta)):
+    if not np.isfinite(net.theta).all():
         raise TrainingError("non-finite parameter after optimizer step")
     return net, state
 
@@ -141,12 +141,14 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
                method: str):
     """The batch loop both stages share.
 
-    `loss_fn(output, labels, lambda_t)` maps a batch of head outputs of
-    `net` to (LossValue, gradient at the output of `back_net`), which
-    shares `net`'s layers, so one forward pass per batch serves both.
-    Each epoch ends with an evaluation on the validation set.
+    `loss_fn(output, rows, lambda_t)` maps `net`'s head outputs on the
+    training rows `rows` to (LossValue, gradient at the output of
+    `back_net`, which shares `net`'s layers: one forward pass serves both).
+    Label rows are checked once, before the first step; each epoch ends
+    with an evaluation on the validation set.
     """
     train_ds, val_ds = data
+    losses.check_label_rows(train_ds.labels)
     val_labels = val_ds.class_indices()
     records: list[EpochRecord] = []
     reports: list[metrics.EvalReport] = []
@@ -155,9 +157,9 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
         lambda_t = losses.lambda_schedule(t, lam)
         parts, batch_norms = [], []
         for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
-            xb, yb = train_ds.features[idx], train_ds.labels[idx]
+            xb = train_ds.features[idx]
             output, cache = ndcore.forward_with_cache(net, xb)
-            loss, upstream = loss_fn(output, yb, lambda_t)
+            loss, upstream = loss_fn(output, idx, lambda_t)
             if not np.isfinite(loss.total):
                 raise TrainingError(
                     f"non-finite loss at stage{stage} epoch {t}, batch {len(parts)}")
@@ -185,11 +187,6 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
     return net, records, reports
 
 
-def _cross_entropy(probs, yb, lambda_t: float):
-    value, grad_logits = losses.cross_entropy_loss(probs, yb)
-    return losses.LossValue(total=value, base=value, kl=0.0, lambda_t=lambda_t), grad_logits
-
-
 def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int = 0):
     """Cross-entropy training of a softmax-head network.
 
@@ -202,7 +199,12 @@ def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int =
     # through an identity-head view that shares `net`'s parameters.
     logits_net = copy.copy(net)
     logits_net.head = "identity"
-    return _run_stage(net, logits_net, data, plan, _cross_entropy, stage=1,
+
+    def cross_entropy(probs, rows, lambda_t):
+        value, grad_logits = losses.cross_entropy_loss(probs, data[0].labels[rows])
+        return losses.LossValue(total=value, base=value, kl=0.0, lambda_t=lambda_t), grad_logits
+
+    return _run_stage(net, logits_net, data, plan, cross_entropy, stage=1,
                       learning_rate=plan.lr_stage1, epochs=plan.stage1_epochs,
                       lam=0.0, epoch_offset=epoch_offset, method="ce")
 
@@ -212,13 +214,15 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
     """Evidential training with the annealed KL regularizer.
 
     The head is swapped to plan.evidence_head_stage2 before training;
-    the annealing clock restarts at t = 0 within this stage.
+    the annealing clock restarts at t = 0 within this stage. The labels
+    are hardened for the KL term once, not per batch.
     """
     net = ndcore.swap_head(net, plan.evidence_head_stage2)
+    labels, hard = data[0].labels, losses.harden_labels(data[0].labels)
 
-    def evidential(evidence, yb, lambda_t):
-        return losses.edl_total_loss(losses.evidence_to_alpha(evidence, net.head),
-                                     yb, lambda_t)
+    def evidential(evidence, rows, lambda_t):
+        return losses._edl_total(losses.evidence_to_alpha(evidence, net.head),
+                                 labels[rows], hard[rows], lambda_t)
 
     return _run_stage(net, net, data, plan, evidential, stage=2,
                       learning_rate=plan.lr_stage2, epochs=plan.stage2_epochs,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evidential import specfun
 from evidential.specfun import _gamma_terms, digamma, ln_gamma, trigamma
+from oracles import DIGAMMA_SERIES, LNGAMMA_SERIES, TRIGAMMA_SERIES, gamma_terms_loop
 
 EULER_MASCHERONI = 0.57721566490153286060651209008240
 
@@ -111,9 +112,9 @@ def separate_recurrences(x):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     results = []
     for shift_term, first_term, coeffs in (
-        (np.log, lambda z, inv2: 1.0 / z, specfun._LNGAMMA_SERIES),
-        (lambda z: 1.0 / z, lambda z, inv2: inv2.copy(), specfun._DIGAMMA_SERIES),
-        (lambda z: 1.0 / (z * z), lambda z, inv2: inv2 / z, specfun._TRIGAMMA_SERIES),
+        (np.log, lambda z, inv2: 1.0 / z, LNGAMMA_SERIES),
+        (lambda z: 1.0 / z, lambda z, inv2: inv2.copy(), DIGAMMA_SERIES),
+        (lambda z: 1.0 / (z * z), lambda z, inv2: inv2 / z, TRIGAMMA_SERIES),
     ):
         z, shift = x.copy(), np.zeros_like(x)
         for _ in range(10):
@@ -140,6 +141,68 @@ def test_fused_kernel_matches_separate_recurrences_exactly():
                np.geomspace(1e-12, 1e12, 2001), rng.random((64, 3)) * 4.0):
         for fused, separate in zip(_gamma_terms(xs), separate_recurrences(xs)):
             assert np.array_equal(fused, separate)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 8, 9, 385, 20000])
+def test_stacked_kernel_matches_loop_form_bit_for_bit(m):
+    # m = 1 is where a `sum` over the shift or series rows would round
+    # differently from the loop's running total. Summing the eight series
+    # terms pairwise changes about 1 value in 3000, so m = 20000 (many
+    # passes of the kernel) catches that too.
+    rng = np.random.default_rng(m)
+    xs = np.concatenate([[1e-15, 9.999999999, 10.0, 1e6], rng.random(m) * 12.0 + 1e-12])[:m]
+    for stacked, loop in zip(_gamma_terms(xs), gamma_terms_loop(xs)):
+        assert _same_bits(stacked, loop)
+
+
+@pytest.mark.parametrize("xs", [
+    np.array(3.0),
+    np.array(1e-15),
+    np.array([1e-15, 9.999999999, 10.0, 1e6]),
+    np.random.default_rng(1).random((64, 3)) * 4.0,
+    np.random.default_rng(2).random((2, 5, 7)) * 30.0 + 1e-9,
+], ids=["0d", "0d-tiny", "edges", "64x3", "2x5x7"])
+def test_stacked_kernel_shapes_match_loop_form_bit_for_bit(xs):
+    stacked, loop = _gamma_terms(xs), gamma_terms_loop(xs)
+    if xs.ndim == 0:
+        assert all(type(v) is float for v in stacked)
+    for a, b in zip(stacked, loop):
+        assert _same_bits(a, b)
+
+
+# z*z underflows (x <~ 1e-154) or overflows (x >~ 1.3e154) at these.
+RANGE_EDGES = [1e-300, 1e-200, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("x", RANGE_EDGES)
+def test_range_edges_without_warnings(x):
+    # pyproject turns RuntimeWarning into an error, so a warning fails here.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    lg, dg, tg = _gamma_terms(x)
+    lg_true = float(mpmath.loggamma(x))
+    dg_true = float(mpmath.digamma(x))
+    assert abs(lg - lg_true) <= 1e-12 * max(1.0, abs(lg_true))
+    assert abs(dg - dg_true) <= 1e-10 * max(1.0, abs(dg_true))
+    assert (ln_gamma(x), digamma(x), trigamma(x)) == (lg, dg, tg)
+
+
+@pytest.mark.parametrize("x", RANGE_EDGES + [1e-150, 1.0, 1e150])
+def test_trigamma_is_inf_exactly_beyond_float_max(x):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    tg_true = mpmath.polygamma(1, x)
+    tg = trigamma(x)
+    if tg_true > np.finfo(np.float64).max:
+        assert tg == np.inf
+    else:
+        assert np.isfinite(tg)
+        assert abs(tg - float(tg_true)) <= 1e-10 * max(1.0, abs(float(tg_true)))
 
 
 def test_fused_kernel_empty_input():

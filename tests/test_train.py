@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from evidential import cli, losses, metrics, ndcore
-from evidential.data import SplitSpec, gen_blobs, split
+from evidential.data import Dataset, SplitSpec, gen_blobs, split
 from evidential.losses import lambda_schedule
 from evidential.train import (
     BETA1,
@@ -467,3 +467,72 @@ class TestRunPlan:
                 if isinstance(v, float):
                     assert np.isfinite(v)
             assert 0.0 <= rec.dead_evidence_frac <= 1.0
+
+
+def _stage2_loss_fn(monkeypatch, pair, plan):
+    """The batch loss `train_stage2` hands to the shared batch loop."""
+    captured = {}
+
+    def capture(net, back_net, data, plan, loss_fn, **kwargs):
+        captured["loss_fn"] = loss_fn
+        return net, [], []
+
+    monkeypatch.setattr("evidential.train._run_stage", capture)
+    net = build_network(plan, pair[0].dim, pair[0].class_count)
+    train_stage2(net, pair, plan)
+    return captured["loss_fn"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("head", ["relu_evidence", "elu_evidence"])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_training_path_loss_matches_public_loss_bit_for_bit(monkeypatch, k, head, soft, lam):
+    rng = np.random.default_rng([k, len(head), soft, int(lam * 10)])
+    n = 300
+    if soft:
+        labels = rng.dirichlet(np.ones(k), size=n)
+    else:
+        labels = np.eye(k)[rng.integers(0, k, n)]
+    train_ds = Dataset(rng.standard_normal((n, 4)), labels)
+    plan = TrainPlan(mode="edl_only", stage2_epochs=1, evidence_head_stage2=head, seed=1)
+    loss_fn = _stage2_loss_fn(monkeypatch, (train_ds, train_ds), plan)
+    for _ in range(5):
+        rows = rng.permutation(n)[:64]
+        logits = 3.0 * rng.standard_normal((64, k))
+        evidence = ndcore._apply_head(head, logits)
+        got, got_grad = loss_fn(evidence, rows, lam)
+        want, want_grad = losses.edl_total_loss(
+            losses.evidence_to_alpha(evidence, head), labels[rows], lam)
+        assert np.array_equal(np.array(dataclasses.astuple(got)).view(np.int64),
+                              np.array(dataclasses.astuple(want)).view(np.int64))
+        assert np.array_equal(got_grad.view(np.int64), want_grad.view(np.int64))
+
+
+@pytest.mark.parametrize("train", [train_stage1, train_stage2])
+def test_bad_label_row_fails_before_first_step(train, monkeypatch):
+    pair = easy_pair()
+    pair[0].labels[5] = [0.7, 0.7]  # a mutation after Dataset checked its rows
+    plan = TrainPlan(stage1_epochs=1, stage2_epochs=1, seed=0)
+    steps = []
+    monkeypatch.setattr("evidential.train.step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="label rows must sum to 1"):
+        train(build_network(plan, 2, 2), pair, plan)
+    assert steps == []
+
+
+@pytest.mark.parametrize("mode", ["edl_only", "tedl"])
+def test_labels_hardened_once_per_stage(mode, monkeypatch):
+    pair = easy_pair()
+    plan = TrainPlan(mode=mode, stage1_epochs=1, stage2_epochs=2, batch_size=64, seed=0)
+    calls = []
+    harden = losses.harden_labels
+
+    def counting(y):
+        calls.append(len(y))
+        return harden(y)
+
+    monkeypatch.setattr(losses, "harden_labels", counting)
+    run_plan(plan, pair)
+    assert pair[0].n > 2 * plan.batch_size
+    assert calls == [pair[0].n]
