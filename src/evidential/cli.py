@@ -16,8 +16,6 @@ import time
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data as datamod
 from . import metrics, ndcore
 from .train import EpochRecord, RunResult, TrainPlan, run_plan
@@ -77,9 +75,12 @@ def _env_seed(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        seed = int(raw)
+        if seed < 0:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"EVIDENTIAL_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"EVIDENTIAL_SEED must be an integer >= 0, got {raw!r}") from None
+    return seed
 
 
 # ---------------------------------------------------------------- model i/o
@@ -100,14 +101,18 @@ def _model_payload(net: ndcore.Network) -> dict:
     }
 
 
+def _payload_sha256(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def save_model(net: ndcore.Network, path: Path) -> None:
     payload = _model_payload(net)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "payload": payload,
-        "payload_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "payload_sha256": _payload_sha256(payload),
     }
     _write_atomic(Path(path), json.dumps(doc, indent=1, sort_keys=True))
 
@@ -121,17 +126,10 @@ def load_model(path: Path) -> ndcore.Network:
     if doc.get("version") != MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {doc.get('version')}")
     payload = doc["payload"]
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(blob.encode()).hexdigest() != doc.get("payload_sha256"):
+    if _payload_sha256(payload) != doc.get("payload_sha256"):
         raise RuntimeError(f"{path}: checksum mismatch, file is corrupted")
-    layers = [
-        ndcore.Layer(
-            weights=np.array(spec["weights"], dtype=np.float64),
-            bias=np.array(spec["bias"], dtype=np.float64),
-            activation=spec["activation"],
-        )
-        for spec in payload["layers"]
-    ]
+    layers = [ndcore.Layer(spec["weights"], spec["bias"], spec["activation"])
+              for spec in payload["layers"]]
     return ndcore.Network(layers=layers, head=payload["head"],
                           class_count=payload["class_count"])
 
@@ -181,6 +179,8 @@ def _parse_config(cfg: dict):
         errors += [f"unknown dataset key {key!r}" for key in sorted(set(gen) - set(GEN_DEFAULTS))]
     if "out_dir" not in cfg:
         errors.append("out_dir is required")
+    errors += [f"{key} must be a string" for key in ("out_dir", "dataset_csv")
+               if not isinstance(cfg.get(key, ""), str)]
     formats = cfg.get("report_formats", REPORT_FORMATS)
     if not isinstance(formats, list) or any(f not in REPORT_FORMATS for f in formats):
         errors.append(f"report_formats must be a list drawn from {REPORT_FORMATS}")
@@ -300,7 +300,7 @@ def cmd_train(args) -> int:
     files = _emit_run_artifacts(result, out_dir, formats)
     manifest = {
         "config": cfg,
-        "seed": result.plan.seed,
+        "seed": plan.seed,
         "files": {key: _sha256(Path(p)) for key, p in files.items()},
         "paths": files,
         "wall_clock_sec": time.time() - started,
@@ -331,8 +331,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     lambdas = [_coerce("--lambdas", v, float) for v in args.lambdas.split(",") if v.strip()]
-    if not methods:
-        raise ConfigError("methods list must not be empty")
+    if not methods or not lambdas:
+        raise ConfigError("methods and lambdas lists must not be empty")
     if len(methods) < 2 and len(lambdas) < 2:
         raise ConfigError("need at least two methods or two lambda values")
     bad = [m for m in methods if m not in METHOD_MODES]

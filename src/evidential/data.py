@@ -14,8 +14,10 @@ _CSV_BLOCK_ROWS = 4096  # rows per formatted write: bounded memory, few calls
 _CSV_PARSE = dict(delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
 
 
-def _unnormalised(labels: np.ndarray) -> np.ndarray:  # True for NaN and inf sums too
-    return ~(np.abs(labels.sum(axis=1) - 1.0) <= 1e-9)
+def check_label_rows(labels: np.ndarray) -> None:
+    """Raise unless every label row sums to 1 within 1e-9 (a NaN or inf row fails too)."""
+    if (~(np.abs(labels.sum(axis=1) - 1.0) <= 1e-9)).any():
+        raise ValueError("label rows must sum to 1")
 
 
 @dataclass(eq=False)
@@ -23,7 +25,6 @@ class Dataset:
     features: np.ndarray  # n x d
     labels: np.ndarray    # n x K, rows sum to 1
     name: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -36,8 +37,7 @@ class Dataset:
             raise ValueError("dataset needs at least one row")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
-        if _unnormalised(self.labels).any():
-            raise ValueError("label rows must sum to 1")
+        check_label_rows(self.labels)
 
     @property
     def n(self) -> int:
@@ -138,7 +138,7 @@ def gen_blobs(
         labels[np.arange(n), assigned] = 1.0
 
     tag = "soft" if soft else "hard"
-    return Dataset(x, labels, name=f"blobs_{tag}_n{n}_d{d}_k{k}", seed=seed)
+    return Dataset(x, labels, name=f"blobs_{tag}_n{n}_d{d}_k{k}")
 
 
 def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Dataset:
@@ -154,7 +154,7 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
     v = rng.standard_normal((n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     labels = np.full((n, k), 1.0 / k)
-    return Dataset(v * radius, labels, name=f"ood_ring_r{radius}", seed=seed)
+    return Dataset(v * radius, labels, name=f"ood_ring_r{radius}")
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -183,11 +183,12 @@ def load_csv(path) -> Dataset:
             with warnings.catch_warnings():  # an empty body falls to the scan
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 table = np.loadtxt(fh, **_CSV_PARSE)
+            if table.shape[1] != d + k:
+                raise ValueError
+            check_label_rows(table[:, d:])
         except ValueError:
-            table = None
-        if table is None or table.shape[1] != d + k or _unnormalised(table[:, d:]).any():
             fh.seek(0)
-            raise ValueError(f"{path}: {_first_bad_line(fh, d, k)}")
+            raise ValueError(f"{path}: {_first_bad_line(fh, d, k)}") from None
     return Dataset(table[:, :d], table[:, d:], name=str(path))
 
 
@@ -203,7 +204,9 @@ def _first_bad_line(fh, d: int, k: int) -> str:
             values = np.loadtxt([line], **_CSV_PARSE)
         except ValueError:
             return f"line {lineno}: non-numeric cell"
-        if _unnormalised(values[:, d:]).any():
+        try:
+            check_label_rows(values[:, d:])
+        except ValueError:
             return f"line {lineno}: label row does not sum to 1"
     return "no data rows"
 
@@ -238,11 +241,7 @@ def split(dataset: Dataset, spec: SplitSpec):
         raise ValueError("split fractions too small to yield at least one row")
 
     def _take(idx, suffix):
-        return Dataset(
-            dataset.features[idx],
-            dataset.labels[idx],
-            name=f"{dataset.name}_{suffix}",
-            seed=dataset.seed,
-        )
+        return Dataset(dataset.features[idx], dataset.labels[idx],
+                       name=f"{dataset.name}_{suffix}")
 
     return _take(train_idx, "train"), _take(val_idx, "val")

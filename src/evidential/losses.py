@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_label_rows
 from .ndcore import as_matrix
 from .specfun import _gamma_terms
 
@@ -26,11 +27,10 @@ class EvidentialOutput:
     strength: np.ndarray     # row sums of alpha
     p_hat: np.ndarray        # alpha / strength
     uncertainty: np.ndarray  # K / strength
-    head: str
 
-    def dead_fraction(self, tol: float = 1e-8) -> float:
-        """Share of rows whose evidence is everywhere <= tol."""
-        return float(np.mean(np.all(self.evidence <= tol, axis=1)))
+    def dead_fraction(self) -> float:
+        """Share of rows whose evidence is everywhere <= 1e-8."""
+        return float(np.mean(np.all(self.evidence <= 1e-8, axis=1)))
 
 
 @dataclass
@@ -38,7 +38,6 @@ class LossValue:
     total: float
     base: float
     kl: float
-    lambda_t: float
 
 
 def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
@@ -63,14 +62,7 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
         strength=strength,
         p_hat=p_hat,
         uncertainty=uncertainty,
-        head=head,
     )
-
-
-def check_label_rows(y: np.ndarray) -> None:
-    """Raise unless every label row sums to 1 (a NaN or inf row fails too)."""
-    if (~(np.abs(y.sum(axis=1) - 1.0) <= 1e-6)).any():
-        raise ValueError("label rows must sum to 1")
 
 
 def _checked_labels(out: EvidentialOutput, y) -> np.ndarray:
@@ -169,8 +161,7 @@ def _edl_total(out: EvidentialOutput, y: np.ndarray, y_hard: np.ndarray, lambda_
     base_value, grad = _edl_base(out, y)
     kl_value, kl_grad = _kl_uniform(_alpha_tilde(out.alpha, y_hard))
     grad = grad + lambda_t * (1.0 - y_hard) * kl_grad
-    return LossValue(total=base_value + lambda_t * kl_value, base=base_value,
-                     kl=kl_value, lambda_t=lambda_t), grad
+    return LossValue(total=base_value + lambda_t * kl_value, base=base_value, kl=kl_value), grad
 
 
 def edl_total_loss(out: EvidentialOutput, y, lambda_t: float):

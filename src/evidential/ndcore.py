@@ -146,25 +146,6 @@ def global_norm(net: Network, grad: np.ndarray) -> float:
     return float(np.sqrt(sum(float(squares[i:j].sum()) for i, j, _ in net._layout)))
 
 
-def _forward_cached(net: Network, x: np.ndarray):
-    """Run the layer stack, returning pre-activations and activations."""
-    x = as_matrix(x)
-    _require_finite(x, "network input")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} columns, first layer expects {net.input_dim}"
-        )
-    pre, post, z = [], [], x
-    for idx, layer in enumerate(net.layers):
-        a = z @ layer.weights + layer.bias
-        if not np.isfinite(a).all():
-            raise NumericError(f"non-finite pre-activation in layer {idx}")
-        z = _activate(layer.activation, a)
-        pre.append(a)
-        post.append(z)
-    return x, pre, post
-
-
 def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
     if head == "softmax":
         return softmax(logits)
@@ -181,10 +162,23 @@ def forward_with_cache(net: Network, x):
     Returns (head output, cache); `backward` accepts the cache for any
     network with the same layers, whatever its head.
     """
-    cache = _forward_cached(net, x)
-    out = _apply_head(net.head, cache[2][-1])
+    x = as_matrix(x)
+    _require_finite(x, "network input")
+    if x.shape[1] != net.input_dim:
+        raise ValueError(
+            f"input has {x.shape[1]} columns, first layer expects {net.input_dim}"
+        )
+    pre, post, z = [], [], x
+    for idx, layer in enumerate(net.layers):
+        a = z @ layer.weights + layer.bias
+        if not np.isfinite(a).all():
+            raise NumericError(f"non-finite pre-activation in layer {idx}")
+        z = _activate(layer.activation, a)
+        pre.append(a)
+        post.append(z)
+    out = _apply_head(net.head, z)
     _require_finite(out, "head output")
-    return out, cache
+    return out, (x, pre, post)
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -192,14 +186,14 @@ def forward(net: Network, x) -> np.ndarray:
     return forward_with_cache(net, x)[0]
 
 
-def backward(net: Network, x, upstream, cache=None) -> np.ndarray:
+def backward(net: Network, upstream, cache) -> np.ndarray:
     """Chain `upstream` (gradient at the head output) back to parameters;
     returns the gradient as one vector in `theta`'s layout.
 
     `cache` is the second result of `forward_with_cache(net, x)` on the
-    same layers and parameters; without it the forward pass is rerun.
+    same layers and parameters.
     """
-    x, pre, post = _forward_cached(net, x) if cache is None else cache
+    x, pre, post = cache
     upstream = as_matrix(upstream)
     if upstream.shape != (x.shape[0], net.class_count):
         raise ValueError(

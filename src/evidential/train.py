@@ -11,10 +11,11 @@ epoch) and all state lives in float64 numpy arrays.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as datamod
 from . import losses, metrics, ndcore
 
 
@@ -73,6 +74,8 @@ class TrainPlan:
             errors.append("lambda, learning rates and hostile_bias must be finite")
         if self.lam < 0:
             errors.append("lambda must be >= 0")
+        if self.seed < 0:
+            errors.append("seed must be >= 0")
         if self.batch_size < 1:
             errors.append("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -109,7 +112,6 @@ class RunResult:
     network: ndcore.Network
     records: list[EpochRecord]
     reports: list[metrics.EvalReport]
-    plan: TrainPlan
 
 
 def step(net: ndcore.Network, state: OptimizerState, grad: np.ndarray):
@@ -148,7 +150,7 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
     with an evaluation on the validation set.
     """
     train_ds, val_ds = data
-    losses.check_label_rows(train_ds.labels)
+    datamod.check_label_rows(train_ds.labels)
     val_labels = val_ds.class_indices()
     records: list[EpochRecord] = []
     reports: list[metrics.EvalReport] = []
@@ -157,13 +159,12 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
         lambda_t = losses.lambda_schedule(t, lam)
         parts, batch_norms = [], []
         for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
-            xb = train_ds.features[idx]
-            output, cache = ndcore.forward_with_cache(net, xb)
+            output, cache = ndcore.forward_with_cache(net, train_ds.features[idx])
             loss, upstream = loss_fn(output, idx, lambda_t)
             if not np.isfinite(loss.total):
                 raise TrainingError(
                     f"non-finite loss at stage{stage} epoch {t}, batch {len(parts)}")
-            grad = ndcore.backward(back_net, xb, upstream, cache)
+            grad = ndcore.backward(back_net, upstream, cache)
             step(net, opt, grad)
             parts.append((loss.total, loss.base, loss.kl))
             batch_norms.append(ndcore.global_norm(net, grad))
@@ -187,7 +188,7 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
     return net, records, reports
 
 
-def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int = 0):
+def train_stage1(net: ndcore.Network, data, plan: TrainPlan):
     """Cross-entropy training of a softmax-head network.
 
     `data` is a (train, validation) Dataset pair. Returns the trained
@@ -202,21 +203,23 @@ def train_stage1(net: ndcore.Network, data, plan: TrainPlan, epoch_offset: int =
 
     def cross_entropy(probs, rows, lambda_t):
         value, grad_logits = losses.cross_entropy_loss(probs, data[0].labels[rows])
-        return losses.LossValue(total=value, base=value, kl=0.0, lambda_t=lambda_t), grad_logits
+        return losses.LossValue(total=value, base=value, kl=0.0), grad_logits
 
     return _run_stage(net, logits_net, data, plan, cross_entropy, stage=1,
                       learning_rate=plan.lr_stage1, epochs=plan.stage1_epochs,
-                      lam=0.0, epoch_offset=epoch_offset, method="ce")
+                      lam=0.0, epoch_offset=0, method="ce")
 
 
-def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
-                 epoch_offset: int = 0, method: str = "edl"):
+def train_stage2(net: ndcore.Network, data, plan: TrainPlan):
     """Evidential training with the annealed KL regularizer.
 
     The head is swapped to plan.evidence_head_stage2 before training;
     the annealing clock restarts at t = 0 within this stage. The labels
-    are hardened for the KL term once, not per batch.
+    are hardened for the KL term once, not per batch. Under mode "tedl"
+    the epochs follow stage 1's and are tagged "tedl"; otherwise they
+    start at 0 and are tagged "edl".
     """
+    tedl = plan.mode == "tedl"
     net = ndcore.swap_head(net, plan.evidence_head_stage2)
     labels, hard = data[0].labels, losses.harden_labels(data[0].labels)
 
@@ -226,7 +229,8 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan,
 
     return _run_stage(net, net, data, plan, evidential, stage=2,
                       learning_rate=plan.lr_stage2, epochs=plan.stage2_epochs,
-                      lam=plan.lam, epoch_offset=epoch_offset, method=method)
+                      lam=plan.lam, epoch_offset=plan.stage1_epochs if tedl else 0,
+                      method="tedl" if tedl else "edl")
 
 
 def build_network(plan: TrainPlan, input_dim: int, class_count: int) -> ndcore.Network:
@@ -236,20 +240,17 @@ def build_network(plan: TrainPlan, input_dim: int, class_count: int) -> ndcore.N
 
 
 def run_plan(plan: TrainPlan, data) -> RunResult:
-    """Dispatch ce_only / edl_only / tedl on a (train, val) pair."""
+    """Run the plan's stages on a (train, val) pair: stage 1 unless
+    edl_only, then stage 2 unless ce_only."""
     errors = plan.validate()
     if errors:
         raise ValueError("; ".join(errors))
     train_ds, _ = data
     net = build_network(plan, train_ds.dim, train_ds.class_count)
-
-    if plan.mode == "ce_only":
+    records, reports = [], []
+    if plan.mode != "edl_only":
         net, records, reports = train_stage1(net, data, plan)
-    elif plan.mode == "edl_only":
-        net, records, reports = train_stage2(net, data, plan, method="edl")
-    else:
-        net, rec1, rep1 = train_stage1(net, data, plan)
-        net, rec2, rep2 = train_stage2(net, data, plan, epoch_offset=plan.stage1_epochs,
-                                       method="tedl")
-        records, reports = rec1 + rec2, rep1 + rep2
-    return RunResult(network=net, records=records, reports=reports, plan=plan)
+    if plan.mode != "ce_only":
+        net, rec2, rep2 = train_stage2(net, data, plan)
+        records, reports = records + rec2, reports + rep2
+    return RunResult(network=net, records=records, reports=reports)

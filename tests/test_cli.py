@@ -28,13 +28,15 @@ def write_config(tmp_path, **overrides):
         "out_dir": str(tmp_path / "run"),
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}  # None drops a key
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
 
 
-# Each case is config overrides, raw config text, or an argv in which
-# "{data}" names a small two-class CSV.
+# Each case is config overrides, raw config text, or an argv, in which
+# "{data}" names a small two-class CSV; an (environment, case) pair also
+# sets environment variables.
 CONFIG_ERRORS = {
     "malformed_json": '{"mode": "tedl",',
     "top_level_list": '[{"mode": "tedl"}]',
@@ -64,18 +66,31 @@ CONFIG_ERRORS = {
     "compare_lambda_nan": ["compare", "--data", "{data}", "--lambdas", "nan"],
     "compare_lambda_tags_collide": ["compare", "--data", "{data}", "--lambdas",
                                     "0.1,0.10000001"],
+    "seed_negative": {"seed": -1},
+    "compare_seed_negative": ["compare", "--data", "{data}", "--seed", "-1"],
+    "env_seed_negative_with_csv": ({"EVIDENTIAL_SEED": "-1"},
+                                   {"dataset": None, "dataset_csv": "{data}"}),
+    "out_dir_not_a_string": {"out_dir": 5},
+    "dataset_csv_not_a_string": {"dataset": None, "dataset_csv": 5},
+    "compare_empty_lambdas": ["compare", "--data", "{data}", "--methods", "ce,edl",
+                              "--lambdas", ","],
 }
 
 
 @pytest.mark.parametrize("case", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
-def test_config_errors_exit_1(tmp_path, capsys, case):
+def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, case):
+    env, case = case if isinstance(case, tuple) else ({}, case)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    data = tmp_path / "data.csv"
+    save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data)
     if isinstance(case, list):
-        data = tmp_path / "data.csv"
-        save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data)
         argv = [a.replace("{data}", str(data)) for a in case]
         argv += ["--out", str(tmp_path / "out")]
     else:
-        cfg_path, _ = write_config(tmp_path, **(case if isinstance(case, dict) else {}))
+        overrides = case if isinstance(case, dict) else {}
+        cfg_path, _ = write_config(tmp_path, **{
+            key: str(data) if value == "{data}" else value for key, value in overrides.items()})
         if isinstance(case, str):
             cfg_path.write_text(case)
         argv = ["train", "--config", str(cfg_path)]

@@ -31,6 +31,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="sum to 1"):
             Dataset([[1.0]], [row])
 
+    def test_label_sum_tolerance_is_1e_9(self):
+        assert Dataset([[1.0]], [[0.5, 0.5 + 5e-10]]).n == 1
+        with pytest.raises(ValueError, match="sum to 1"):
+            Dataset([[1.0]], [[0.5, 0.5 + 1e-7]])
+
     def test_rejects_nan_features(self):
         with pytest.raises(ValueError, match="non-finite"):
             Dataset([[np.nan, 0.0]], [[1.0, 0.0]])
@@ -329,6 +334,11 @@ class TestCsvContract:
     def test_nan_label_row_names_line(self, tmp_path):
         with pytest.raises(ValueError, match="line 2: label row does not sum to 1"):
             self._load(tmp_path, "f0,y0,y1\n1,nan,1\n")
+
+    def test_label_sum_tolerance_is_1e_9(self, tmp_path):
+        assert self._load(tmp_path, "f0,y0,y1\n1,0.5,0.5000000005\n").n == 1
+        with pytest.raises(ValueError, match="line 3: label row does not sum to 1"):
+            self._load(tmp_path, "f0,y0,y1\n1,1,0\n2,0.5,0.5000001\n")
 
 
 class TestSplit:

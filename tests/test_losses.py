@@ -355,6 +355,22 @@ class TestCrossEntropy:
             cross_entropy_loss([[0.5, 0.5]], [[bad, 1.0]])
 
 
+# The losses keep the Dataset's label-row rule: |row sum - 1| <= 1e-9.
+LABEL_RULE_LOSSES = {
+    "cross_entropy_loss": lambda y: cross_entropy_loss([[0.5, 0.5]], y),
+    "edl_base_loss": lambda y: edl_base_loss(evidence_to_alpha([[1.0, 2.0]], "elu_evidence"), y),
+    "edl_total_loss": lambda y: edl_total_loss(
+        evidence_to_alpha([[1.0, 2.0]], "elu_evidence"), y, 0.5),
+}
+
+
+@pytest.mark.parametrize("loss", LABEL_RULE_LOSSES.values(), ids=LABEL_RULE_LOSSES.keys())
+def test_label_sum_tolerance_is_1e_9(loss):
+    loss([[0.5, 0.5 + 5e-10]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        loss([[0.5, 0.5 + 1e-7]])
+
+
 def test_harden_labels():
     assert np.array_equal(
         harden_labels([[0.4, 0.6], [0.9, 0.1]]), [[0.0, 1.0], [1.0, 0.0]]

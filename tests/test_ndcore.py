@@ -10,6 +10,7 @@ from evidential.ndcore import (
     NumericError,
     backward,
     forward,
+    forward_with_cache,
     init_network,
     swap_head,
 )
@@ -75,13 +76,14 @@ class TestBackward:
     def test_linear_weight_gradient(self):
         net = identity_net("identity")
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        grad_w, grad_b = net.views(backward(net, x, np.ones((2, 2))))
+        grad_w, grad_b = net.views(backward(net, np.ones((2, 2)), forward_with_cache(net, x)[1]))
         assert np.allclose(grad_w[0], x.T @ np.ones((2, 2)))
         assert np.allclose(grad_b[0], [2.0, 2.0])
 
     def test_zero_upstream_zero_tape(self):
         net = init_network([3, 4, 2], head="elu_evidence", seed=5)
-        grad_w, grad_b = net.views(backward(net, np.ones((6, 3)), np.zeros((6, 2))))
+        grad_w, grad_b = net.views(
+            backward(net, np.zeros((6, 2)), forward_with_cache(net, np.ones((6, 3)))[1]))
         assert all(np.all(g == 0) for g in grad_w)
         assert all(np.all(g == 0) for g in grad_b)
 
@@ -89,13 +91,13 @@ class TestBackward:
         net = init_network([3, 2], head="softmax", seed=1)
         x = np.random.default_rng(3).standard_normal((4, 3))
         snapshot = x.copy()
-        backward(net, x, np.ones((4, 2)))
+        backward(net, np.ones((4, 2)), forward_with_cache(net, x)[1])
         assert np.array_equal(x, snapshot)
 
     def test_upstream_shape_mismatch(self):
         net = init_network([3, 2], head="softmax", seed=1)
         with pytest.raises(ValueError, match="upstream"):
-            backward(net, np.zeros((4, 3)), np.zeros((4, 3)))
+            backward(net, np.zeros((4, 3)), forward_with_cache(net, np.zeros((4, 3)))[1])
 
     @pytest.mark.parametrize("head", ["softmax", "relu_evidence", "elu_evidence", "identity"])
     def test_finite_difference_all_heads(self, head):
@@ -107,7 +109,7 @@ class TestBackward:
         def scalar_loss():
             return float(np.sum(forward(net, x) * upstream))
 
-        grad_w, grad_b = net.views(backward(net, x, upstream))
+        grad_w, grad_b = net.views(backward(net, upstream, forward_with_cache(net, x)[1]))
         h = 1e-5
         worst = 0.0
         for li, layer in enumerate(net.layers):
@@ -154,7 +156,7 @@ def test_backward_writes_per_layer_products_bit_for_bit(sizes, activation, rows)
     net = init_network(sizes, activation, head="identity", seed=3)
     x = rng.standard_normal((rows, sizes[0]))
     upstream = rng.standard_normal((rows, sizes[-1]))
-    grad = backward(net, x, upstream)
+    grad = backward(net, upstream, forward_with_cache(net, x)[1])
     assert grad.shape == net.theta.shape
     expected = np.concatenate([a.ravel() for a in reference_gradients(net, x, upstream)])
     assert np.array_equal(grad.view(np.int64), expected.view(np.int64))

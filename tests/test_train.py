@@ -286,13 +286,13 @@ def test_one_forward_pass_per_training_batch(train, monkeypatch):
     plan = TrainPlan(stage1_epochs=1, stage2_epochs=1, batch_size=128, seed=0)
     net = build_network(plan, 2, 2)
     rows = []
-    layer_pass = ndcore._forward_cached
+    layer_pass = ndcore.forward_with_cache
 
     def counting(net, x):
         rows.append(len(x))
         return layer_pass(net, x)
 
-    monkeypatch.setattr(ndcore, "_forward_cached", counting)
+    monkeypatch.setattr(ndcore, "forward_with_cache", counting)
     train(net, pair, plan)
     batches = -(-pair[0].n // plan.batch_size)
     # One pass per training batch, then one over the validation set.
@@ -415,11 +415,19 @@ class TestRunPlan:
         auto = run_plan(plan, pair)
         net = build_network(plan, 2, 2)
         net, _, _ = train_stage1(net, pair, plan)
-        net, _, _ = train_stage2(net, pair, plan,
-                                 epoch_offset=plan.stage1_epochs, method="tedl")
+        net, _, _ = train_stage2(net, pair, plan)
         for a, b in zip(auto.network.layers, net.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("mode,first_epoch,method", [("tedl", 3, "tedl"),
+                                                         ("edl_only", 0, "edl")])
+    def test_stage2_reads_offset_and_tag_from_mode(self, mode, first_epoch, method):
+        plan = TrainPlan(mode=mode, stage1_epochs=3, stage2_epochs=2, seed=0)
+        _, records, reports = train_stage2(build_network(plan, 2, 2), easy_pair(), plan)
+        assert [r.epoch for r in records] == [first_epoch, first_epoch + 1]
+        assert [(rep.epoch, rep.method) for rep in reports] == [
+            (first_epoch, method), (first_epoch + 1, method)]
 
     def test_epoch_numbering_is_continuous(self):
         pair = easy_pair(seed=9)
