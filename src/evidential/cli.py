@@ -118,14 +118,23 @@ def save_model(net: ndcore.Network, path: Path) -> None:
 
 
 def load_model(path: Path) -> ndcore.Network:
+    """The network in a model file. A missing file, or one of another format
+    or version, is a ConfigError; a damaged one (not JSON, no payload or one
+    without its parts, a checksum mismatch) is a RuntimeError naming it."""
     if not Path(path).exists():
         raise ConfigError(f"model file not found: {path}")
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != MODEL_FORMAT:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise RuntimeError(f"{path}: damaged model file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {doc.get('version')}")
-    payload = doc["payload"]
+    payload = doc.get("payload")
+    if not isinstance(payload, dict) or not {"layers", "head", "class_count"} <= payload.keys():
+        raise RuntimeError(f"{path}: damaged model file: no payload with layers, head "
+                           "and class_count")
     if _payload_sha256(payload) != doc.get("payload_sha256"):
         raise RuntimeError(f"{path}: checksum mismatch, file is corrupted")
     layers = [ndcore.Layer(spec["weights"], spec["bias"], spec["activation"])
@@ -179,6 +188,8 @@ def _parse_config(cfg: dict):
         errors += [f"unknown dataset key {key!r}" for key in sorted(set(gen) - set(GEN_DEFAULTS))]
     if "out_dir" not in cfg:
         errors.append("out_dir is required")
+    elif cfg["out_dir"] == "":
+        errors.append("out_dir must not be empty")
     errors += [f"{key} must be a string" for key in ("out_dir", "dataset_csv")
                if not isinstance(cfg.get(key, ""), str)]
     formats = cfg.get("report_formats", REPORT_FORMATS)
@@ -405,6 +416,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message}\n{self.format_usage()}")
 
 
+def _out_dir(value: str) -> str:
+    """An --out value; the empty string would be the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="evidential",
                      description="Evidential classification toolkit")
@@ -416,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_gen.add_argument("--soft", action="store_true")
         else:
             p_gen.add_argument(f"--{key}", default=default)
-    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--out", required=True, type=_out_dir)
     p_gen.set_defaults(func=cmd_gen)
 
     p_train = sub.add_parser("train", help="run a training config")
@@ -426,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--out", required=True)
+    p_eval.add_argument("--out", required=True, type=_out_dir)
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="compare methods / lambda sweep")
@@ -436,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seed", type=int, default=TrainPlan.seed)
     p_cmp.add_argument("--stage1-epochs", type=int, default=TrainPlan.stage1_epochs)
     p_cmp.add_argument("--stage2-epochs", type=int, default=TrainPlan.stage2_epochs)
-    p_cmp.add_argument("--out", required=True)
+    p_cmp.add_argument("--out", required=True, type=_out_dir)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

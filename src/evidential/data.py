@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
+import os
+import pickle
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -10,7 +17,7 @@ import numpy as np
 
 from .ndcore import softmax
 
-_CSV_BLOCK_ROWS = 4096  # rows per formatted write: bounded memory, few calls
+_CSV_BLOCK_ROWS = 4096  # rows per formatted write and fewest rows per forked range
 _CSV_PARSE = dict(delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
 
 
@@ -158,20 +165,59 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write `f0..f{d-1},y0..y{K-1}` rows of `%.17g` cells ending in CRLF."""
+    """Write `f0..f{d-1},y0..y{K-1}` rows of `%.17g` cells ending in CRLF.
+
+    The rows are split into ranges (see _row_bounds); each forked child
+    formats its range into a spill file beside `path`, which is appended
+    in order and removed, so the bytes do not depend on the range count.
+    """
     table = np.hstack([dataset.features, dataset.labels])
     header = [f"f{i}" for i in range(dataset.dim)] + [f"y{j}" for j in range(dataset.class_count)]
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for block in np.split(table, range(_CSV_BLOCK_ROWS, table.shape[0], _CSV_BLOCK_ROWS)):
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    bounds = _row_bounds(table.shape[0])
+    spills = []
+    try:
+        for _ in bounds[2:]:
+            fd, name = tempfile.mkstemp(suffix=".csv.part",
+                                        dir=os.path.dirname(os.path.abspath(path)))
+            os.close(fd)
+            spills.append(name)
+        jobs = [functools.partial(_write_spill, table[a:b], name)
+                for a, b, name in zip(bounds[1:], bounds[2:], spills)]
+        with _children(jobs) as pipes, open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            _write_rows(fh, table[bounds[0]:bounds[1]])
+            for pipe, name in zip(pipes, spills):
+                _receive(pipe)
+                with open(name, "rb") as spill:
+                    shutil.copyfileobj(spill, fh, 1 << 20)
+    finally:
+        for name in spills:
+            os.unlink(name)
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Format rows into a binary file, one `%` per block of _CSV_BLOCK_ROWS rows."""
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    for block in np.split(rows, range(_CSV_BLOCK_ROWS, rows.shape[0], _CSV_BLOCK_ROWS)):
+        fh.write(((row_fmt * block.shape[0]) % tuple(block.ravel().tolist())).encode())
+
+
+def _write_spill(rows: np.ndarray, name: str):
+    with open(name, "wb") as fh:
+        _write_rows(fh, rows)
+    return None, b""
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by save_csv; errors name the 1-based line."""
+    """Read a dataset written by save_csv; errors name the 1-based line.
+
+    The body is cut at line ends into ranges (see _row_bounds), parsed in
+    forked children and gathered in order; any bad range sends the whole
+    file through the serial line scan, so messages do not depend on the cuts.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+        line = fh.readline()
+        header = next(csv.reader([line]), None) if line else None
         if header is None:
             raise ValueError(f"{path}: no data rows")
         d = sum(1 for h in header if h.startswith("f"))
@@ -180,16 +226,155 @@ def load_csv(path) -> Dataset:
         if d < 1 or k < 2 or header != names:
             raise ValueError(f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}")
         try:
-            with warnings.catch_warnings():  # an empty body falls to the scan
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, **_CSV_PARSE)
-            if table.shape[1] != d + k:
-                raise ValueError
-            check_label_rows(table[:, d:])
+            table = _load_body(path, len(line.encode("utf-8")), d, k)
         except ValueError:
             fh.seek(0)
             raise ValueError(f"{path}: {_first_bad_line(fh, d, k)}") from None
     return Dataset(table[:, :d], table[:, d:], name=str(path))
+
+
+def _load_body(path, start: int, d: int, k: int) -> np.ndarray:
+    """The checked rows from byte `start` on; ValueError if any range is bad
+    or there are no rows."""
+    cuts = _body_cuts(path, start)
+    jobs = [functools.partial(_send_rows, path, a, b, d, k) for a, b in zip(cuts[1:], cuts[2:])]
+    with _children(jobs) as pipes:
+        table = _parse_rows(path, cuts[0], cuts[1], d, k)
+        counts = [_receive(pipe) for pipe in pipes]
+        at = table.shape[0]
+        if counts:
+            # grow in place (the array is fresh from loadtxt, so no view of it
+            # exists) and read each child's rows straight into their place
+            table.resize((at + sum(counts), d + k), refcheck=False)
+            for pipe, count in zip(pipes, counts):
+                rows = memoryview(table[at:at + count]).cast("B")
+                if pipe.readinto(rows) != rows.nbytes:
+                    raise RuntimeError(f"{path}: a CSV worker process sent a short range")
+                at += count
+    if table.shape[0] == 0:
+        raise ValueError
+    return table
+
+
+def _body_cuts(path, start: int) -> list:
+    """Byte offsets [start, ..., size] cutting the body just after `\\n`s
+    into ranges, their count from the rows per byte of the first 64 KiB."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        fh.seek(start)
+        sample = fh.read(1 << 16)
+        bounds = _row_bounds((size - start) * sample.count(b"\n") // max(len(sample), 1))
+        cuts = [start]
+        for b in bounds[1:-1]:
+            fh.seek(max(start + (size - start) * b // bounds[-1] - 1, cuts[-1]))
+            fh.readline()
+            cuts.append(fh.tell())
+    return cuts[:1] + sorted(set(cuts[1:]) | {size})
+
+
+def _parse_rows(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
+    """The rows in bytes [start, stop) parsed as load_csv parses them;
+    ValueError unless each has d + k cells and a label row summing to 1."""
+    with open(path, "rb") as raw, io.TextIOWrapper(
+            io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
+            encoding="utf-8", newline="") as fh:
+        with warnings.catch_warnings():  # a range of blank lines has no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, **_CSV_PARSE)
+    if table.shape[0] == 0:
+        return np.empty((0, d + k))
+    if table.shape[1] != d + k:
+        raise ValueError
+    check_label_rows(table[:, d:])
+    return table
+
+
+def _send_rows(path, start: int, stop: int, d: int, k: int):
+    table = _parse_rows(path, start, stop, d, k)
+    return table.shape[0], memoryview(table).cast("B")
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of a binary file, as a raw stream."""
+
+    def __init__(self, fh, start: int, stop: int):
+        fh.seek(start)
+        self._fh, self._left = fh, stop - start
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        with memoryview(buf) as view:
+            n = self._fh.readinto(view[:min(len(view), self._left)])
+        self._left -= n
+        return n
+
+
+def _row_bounds(rows: int) -> list:
+    """[0, ..., rows] splitting rows into contiguous ranges: one per usable
+    CPU, each at least _CSV_BLOCK_ROWS rows; one where the platform lacks
+    fork or a CPU affinity call."""
+    parts = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        parts = max(1, min(len(os.sched_getaffinity(0)), rows // _CSV_BLOCK_ROWS))
+    return [rows * i // parts for i in range(parts + 1)]
+
+
+@contextlib.contextmanager
+def _children(jobs):
+    """Fork one child per job and yield the read ends of their pipes, in
+    order; on leaving, close every pipe and reap every child."""
+    kids = []
+    try:
+        for job in jobs:
+            kids.append(_fork(job, [pipe for _, pipe in kids]))
+        yield [pipe for _, pipe in kids]
+    finally:
+        for pid, pipe in kids:
+            pipe.close()  # a child still writing gets EPIPE and exits
+            os.waitpid(pid, 0)
+
+
+def _fork(job, siblings):
+    """Run job() in a forked child; return its pid and the read end of a
+    pipe carrying the pickled (exception or None, first of job's result),
+    then the bytes of its second. The child closes its copies of the
+    `siblings` pipes, so closing one in the parent stops its writer."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:  # the child leaves only through os._exit, never back into the caller
+        os.close(r)
+        for pipe in siblings:
+            pipe.close()
+        with open(w, "wb") as out:
+            try:
+                meta, payload = job()
+                reply = (None, meta)
+            except BaseException as exc:
+                reply, payload = (exc, None), b""
+            try:
+                blob = pickle.dumps(reply)
+            except Exception:  # an exception that does not pickle travels as its text
+                blob = pickle.dumps((RuntimeError(repr(reply[0])), None))
+            out.write(blob)
+            out.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe):
+    """A child's result, or its exception raised here."""
+    try:
+        exc, meta = pickle.load(pipe)
+    except EOFError:
+        raise RuntimeError("a CSV worker process exited without a result") from None
+    if exc is not None:
+        raise exc
+    return meta
 
 
 def _first_bad_line(fh, d: int, k: int) -> str:

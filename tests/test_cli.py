@@ -74,6 +74,7 @@ CONFIG_ERRORS = {
     "dataset_csv_not_a_string": {"dataset": None, "dataset_csv": 5},
     "compare_empty_lambdas": ["compare", "--data", "{data}", "--methods", "ce,edl",
                               "--lambdas", ","],
+    "out_dir_empty": {"out_dir": ""},
 }
 
 
@@ -97,6 +98,30 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, case):
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen", "eval", "compare"])
+def test_empty_output_path_exit_1_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # an empty path would be the working directory
+    data = tmp_path / "data.csv"
+    save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data)
+    model = tmp_path / "model.json"
+    cli.save_model(ndcore.init_network([2, 3, 2], head="elu_evidence", seed=0), model)
+    cfg_path, _ = write_config(tmp_path, out_dir="")
+    argv = {
+        "train": ["train", "--config", str(cfg_path)],
+        "gen": ["gen", "--out", ""],
+        "eval": ["eval", "--model", str(model), "--data", str(data), "--out", ""],
+        "compare": ["compare", "--data", str(data), "--out", ""],
+    }[command]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("out_dir must not be empty" in err
+                                         or "argument --out: must not be empty" in err)
+    assert list(cwd.iterdir()) == []
 
 
 def test_integral_floats_accepted(tmp_path):
@@ -296,6 +321,29 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(RuntimeError, match="checksum"):
             cli.load_model(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "no_payload", "no_layers", "no_head"])
+    def test_damaged_model_names_file_exit_2(self, tmp_path, capsys, damage):
+        path = tmp_path / "model.json"
+        cli.save_model(ndcore.init_network([2, 3, 2], head="elu_evidence", seed=0), path)
+        doc = json.loads(path.read_text())
+        if damage == "truncated":
+            path.write_text(path.read_text()[:200])
+        else:
+            if damage == "no_payload":
+                del doc["payload"]
+            else:  # a payload with a matching checksum that still lacks a part
+                del doc["payload"][damage[3:]]
+                doc["payload_sha256"] = cli._payload_sha256(doc["payload"])
+            path.write_text(json.dumps(doc))
+        with pytest.raises(RuntimeError, match=f"{path}: damaged model file"):
+            cli.load_model(path)
+        data = tmp_path / "d.csv"
+        save_csv(gen_blobs(50, 2, 2, 6.0, seed=9), data)
+        out = tmp_path / "e"
+        assert run_cli("eval", "--model", str(path), "--data", str(data), "--out", str(out)) == 2
+        assert f"runtime failure: {path}: damaged model file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_not_a_model(self, tmp_path):
         path = tmp_path / "nope.json"

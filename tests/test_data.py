@@ -1,6 +1,7 @@
 """Dataset generation, CSV round-trips and stratified splits."""
 
 import csv
+import os
 import warnings
 
 import numpy as np
@@ -339,6 +340,156 @@ class TestCsvContract:
         assert self._load(tmp_path, "f0,y0,y1\n1,0.5,0.5000000005\n").n == 1
         with pytest.raises(ValueError, match="line 3: label row does not sum to 1"):
             self._load(tmp_path, "f0,y0,y1\n1,1,0\n2,0.5,0.5000001\n")
+
+
+RANGED_ROWS = 2 * data._CSV_BLOCK_ROWS + 7
+RANGE_CASES = [1, 2, 3]
+
+
+def _ranged_dataset():
+    rng = np.random.default_rng(17)
+    return Dataset(rng.standard_normal((RANGED_ROWS, 3)),
+                   rng.dirichlet([0.5, 0.5, 0.5], size=RANGED_ROWS))
+
+
+RANGED_DATASET = _ranged_dataset()
+
+
+def _force_ranges(monkeypatch, ranges):
+    """Make save_csv and load_csv split RANGED_ROWS rows into `ranges`
+    ranges; the list returned collects the pid of every child forked.
+
+    Half-size blocks make room for a third range, and for load_csv's
+    estimate of the row count, which may fall a little short.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
+    monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", data._CSV_BLOCK_ROWS // 2)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _one_range(monkeypatch, call, *args):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return call(*args)
+
+
+def _assert_clean(directory, names):
+    """No spill file is left beside the CSV and no child is left unreaped."""
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fixed_width_csv(rows):
+    """A 1-feature, 2-class body whose rows all have 29 bytes."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-9, 9, rows)
+    p = rng.integers(0, 1000000, rows) / 1e6
+    return [f"{a:+.6f},{b:.6f},{1 - b:.6f}\r\n".encode() for a, b in zip(x, p)]
+
+
+class TestCsvRanges:
+    @pytest.mark.parametrize("ranges", RANGE_CASES)
+    def test_bytes_and_load_match_one_range(self, tmp_path, monkeypatch, ranges):
+        forks = _force_ranges(monkeypatch, ranges)
+        save_csv(RANGED_DATASET, tmp_path / "new.csv")
+        reference_save_csv(RANGED_DATASET, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(forks) == ranges - 1
+        back = load_csv(tmp_path / "new.csv")
+        assert len(forks) == 2 * (ranges - 1)
+        one = _one_range(monkeypatch, load_csv, tmp_path / "new.csv")
+        for got, want in ((back.features, one.features), (back.labels, one.labels),
+                          (one.features, RANGED_DATASET.features)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _assert_clean(tmp_path, ["new.csv", "ref.csv"])
+
+    @pytest.mark.parametrize("ranges", RANGE_CASES)
+    @pytest.mark.parametrize("bad_row, message", [
+        ("x,0,1,0.5,0.25,0.25", "non-numeric cell"),
+        ("1,0,1,0.5,0.5,0.25", "label row does not sum to 1"),
+    ], ids=["non_numeric", "label_row"])
+    def test_error_in_last_range_names_line(self, tmp_path, monkeypatch, ranges, bad_row,
+                                            message):
+        path = tmp_path / "bad.csv"
+        reference_save_csv(RANGED_DATASET, path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[-3] = bad_row.encode()  # the last range's second-to-last row
+        path.write_bytes(b"\r\n".join(lines))
+        expected = f"{path}: line {len(lines) - 2}: {message}"
+        with pytest.raises(ValueError) as serial:
+            _one_range(monkeypatch, load_csv, path)
+        assert str(serial.value) == expected
+        forks = _force_ranges(monkeypatch, ranges)
+        with pytest.raises(ValueError) as ranged:
+            load_csv(path)
+        assert str(ranged.value) == expected
+        assert len(forks) == ranges - 1
+        _assert_clean(tmp_path, ["bad.csv"])
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("variant", ["blank_line", "quoted_cell"])
+    def test_odd_line_at_a_cut_loads_the_same(self, tmp_path, monkeypatch, ranges, variant):
+        forks = _force_ranges(monkeypatch, ranges)
+        header = b"f0,y0,y1\r\n"
+        lines = _fixed_width_csv(RANGED_ROWS)
+        path = tmp_path / "d.csv"
+        path.write_bytes(header + b"".join(lines))
+        cuts = data._body_cuts(path, len(header))
+        assert len(cuts) == ranges + 1
+        for cut in cuts[1:-1]:  # same length, so the cuts stay where they are
+            i = (cut - len(header)) // len(lines[0])
+            cells = lines[i].split(b",")
+            if variant == "blank_line":
+                lines[i] = b"\r\n" + cells[0][:-2] + b"," + b",".join(cells[1:])
+            else:
+                lines[i] = b'"' + cells[0][:-2] + b'",' + b",".join(cells[1:])
+        path.write_bytes(header + b"".join(lines))
+        assert data._body_cuts(path, len(header)) == cuts
+        first = b"\r" if variant == "blank_line" else b'"'
+        assert all(path.read_bytes()[cut:cut + 1] == first for cut in cuts[1:-1])
+        back = load_csv(path)
+        one = _one_range(monkeypatch, load_csv, path)
+        assert back.n == one.n == RANGED_ROWS
+        assert np.array_equal(back.features.view(np.int64), one.features.view(np.int64))
+        assert np.array_equal(back.labels.view(np.int64), one.labels.view(np.int64))
+        assert len(forks) == ranges - 1
+        _assert_clean(tmp_path, ["d.csv"])
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_exception_in_a_range_reaches_the_caller(self, tmp_path, monkeypatch, ranges,
+                                                     where):
+        forks = _force_ranges(monkeypatch, ranges)
+        path = tmp_path / "d.csv"
+        save_csv(RANGED_DATASET, path)
+        parent = os.getpid()
+        real_write, real_parse = data._write_rows, data._parse_rows
+
+        def failing(real):
+            def call(*args):
+                if (os.getpid() == parent) == (where == "parent"):
+                    raise RuntimeError(f"range failed in the {where}")
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(data, "_write_rows", failing(real_write))
+        monkeypatch.setattr(data, "_parse_rows", failing(real_parse))
+        with pytest.raises(RuntimeError, match=f"range failed in the {where}"):
+            save_csv(RANGED_DATASET, tmp_path / "out.csv")
+        with pytest.raises(RuntimeError, match=f"range failed in the {where}"):
+            load_csv(path)
+        assert len(forks) == 3 * (ranges - 1)
+        _assert_clean(tmp_path, ["d.csv", "out.csv"])
 
 
 class TestSplit:
