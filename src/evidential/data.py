@@ -168,31 +168,25 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write `f0..f{d-1},y0..y{K-1}` rows of `%.17g` cells ending in CRLF.
 
     The rows are split into ranges (see _row_bounds); each forked child
-    formats its range into a spill file beside `path`, which is appended
-    in order and removed, so the bytes do not depend on the range count.
+    formats its range into an unnamed temporary file in `path`'s directory,
+    opened before the fork and appended in order, so the bytes do not
+    depend on the range count and no spill file is ever named beside `path`.
     """
     table = np.hstack([dataset.features, dataset.labels])
     header = [f"f{i}" for i in range(dataset.dim)] + [f"y{j}" for j in range(dataset.class_count)]
     bounds = _row_bounds(table.shape[0])
-    spills = []
-    try:
-        for _ in bounds[2:]:
-            fd, name = tempfile.mkstemp(suffix=".csv.part",
-                                        dir=os.path.dirname(os.path.abspath(path)))
-            os.close(fd)
-            spills.append(name)
-        jobs = [functools.partial(_write_spill, table[a:b], name)
-                for a, b, name in zip(bounds[1:], bounds[2:], spills)]
+    with contextlib.ExitStack() as stack:
+        spills = [stack.enter_context(tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(path)))) for _ in bounds[2:]]
+        jobs = [functools.partial(_write_spill, table[a:b], spill)
+                for a, b, spill in zip(bounds[1:], bounds[2:], spills)]
         with _children(jobs) as pipes, open(path, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
             _write_rows(fh, table[bounds[0]:bounds[1]])
-            for pipe, name in zip(pipes, spills):
+            for pipe, spill in zip(pipes, spills):
                 _receive(pipe)
-                with open(name, "rb") as spill:
-                    shutil.copyfileobj(spill, fh, 1 << 20)
-    finally:
-        for name in spills:
-            os.unlink(name)
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh, 1 << 20)
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
@@ -202,9 +196,11 @@ def _write_rows(fh, rows: np.ndarray) -> None:
         fh.write(((row_fmt * block.shape[0]) % tuple(block.ravel().tolist())).encode())
 
 
-def _write_spill(rows: np.ndarray, name: str):
-    with open(name, "wb") as fh:
-        _write_rows(fh, rows)
+def _write_spill(rows: np.ndarray, spill):
+    """A child's job: format `rows` into the inherited `spill` and flush it,
+    since the child leaves through os._exit."""
+    _write_rows(spill, rows)
+    spill.flush()
     return None, b""
 
 

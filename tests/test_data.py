@@ -491,6 +491,43 @@ class TestCsvRanges:
         assert len(forks) == 3 * (ranges - 1)
         _assert_clean(tmp_path, ["d.csv", "out.csv"])
 
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("fail", [None, "child", "parent"])
+    def test_no_spill_file_is_ever_named_beside_the_output(self, tmp_path, monkeypatch,
+                                                           ranges, fail):
+        out_dir, seen_dir = tmp_path / "out", tmp_path / "seen"
+        out_dir.mkdir()
+        seen_dir.mkdir()
+        forks = _force_ranges(monkeypatch, ranges)
+        parent, real_write = os.getpid(), data._write_rows
+
+        def write_rows(fh, rows):
+            in_child = os.getpid() != parent
+            if in_child:  # what the output directory lists while this child writes
+                seen = sorted(os.listdir(out_dir))
+                real_write(fh, rows)
+                fh.flush()
+                seen += sorted(os.listdir(out_dir))
+                (seen_dir / str(os.getpid())).write_text("\n".join(seen))
+            else:
+                real_write(fh, rows)
+            if fail == ("child" if in_child else "parent"):
+                raise RuntimeError(f"range failed in the {fail}")
+
+        monkeypatch.setattr(data, "_write_rows", write_rows)
+        if fail:
+            with pytest.raises(RuntimeError, match=f"range failed in the {fail}"):
+                save_csv(RANGED_DATASET, out_dir / "out.csv")
+        else:
+            save_csv(RANGED_DATASET, out_dir / "out.csv")
+            reference_save_csv(RANGED_DATASET, tmp_path / "ref.csv")
+            assert (out_dir / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(forks) == ranges - 1
+        seen = [path.read_text().split() for path in seen_dir.iterdir()]
+        assert len(seen) == ranges - 1
+        assert all(set(names) <= {"out.csv"} for names in seen), seen
+        _assert_clean(out_dir, ["out.csv"])
+
 
 class TestSplit:
     def test_80_20_counts(self):
