@@ -65,10 +65,11 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
     )
 
 
-def _checked_labels(out: EvidentialOutput, y) -> np.ndarray:
+def _checked_labels(like: np.ndarray, y, what: str) -> np.ndarray:
+    """`y` as a matrix of label rows shaped like `like` (named `what` in the error)."""
     y = as_matrix(y)
-    if y.shape != out.alpha.shape:
-        raise ValueError("label shape must match alpha shape")
+    if y.shape != like.shape:
+        raise ValueError(f"label shape must match {what} shape")
     check_label_rows(y)
     return y
 
@@ -95,7 +96,7 @@ def edl_base_loss(out: EvidentialOutput, y):
 
     Returns (batch mean, gradient w.r.t. evidence).
     """
-    return _edl_base(out, _checked_labels(out, y))
+    return _edl_base(out, _checked_labels(out.alpha, y, "alpha"))
 
 
 def _alpha_tilde(alpha: np.ndarray, y_hard: np.ndarray) -> np.ndarray:
@@ -173,7 +174,7 @@ def edl_total_loss(out: EvidentialOutput, y, lambda_t: float):
     """
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError("lambda_t must lie in [0, 1]")
-    y = _checked_labels(out, y)
+    y = _checked_labels(out.alpha, y, "alpha")
     return _edl_total(out, y, harden_labels(y), lambda_t)
 
 
@@ -186,6 +187,13 @@ def lambda_schedule(epoch_t: int, lam: float) -> float:
     return min(1.0, epoch_t * lam)
 
 
+def _cross_entropy(p: np.ndarray, y: np.ndarray):
+    """`cross_entropy_loss` on checked label rows `y`, as (LossValue, grad_logits)."""
+    n = p.shape[0]
+    value = float(-(y * np.log(np.maximum(p, _LOG_CLAMP))).sum() / n)
+    return LossValue(total=value, base=value, kl=0.0), (p - y) / n
+
+
 def cross_entropy_loss(probs, y):
     """Mean cross-entropy against (possibly soft) labels.
 
@@ -194,11 +202,5 @@ def cross_entropy_loss(probs, y):
     before the log.
     """
     p = as_matrix(probs)
-    y = as_matrix(y)
-    if y.shape != p.shape:
-        raise ValueError("label shape must match probability shape")
-    check_label_rows(y)
-    n = p.shape[0]
-    value = float(-(y * np.log(np.maximum(p, _LOG_CLAMP))).sum() / n)
-    grad_logits = (p - y) / n
-    return value, grad_logits
+    loss, grad_logits = _cross_entropy(p, _checked_labels(p, y, "probability"))
+    return loss.total, grad_logits

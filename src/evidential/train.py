@@ -202,8 +202,7 @@ def train_stage1(net: ndcore.Network, data, plan: TrainPlan):
     logits_net.head = "identity"
 
     def cross_entropy(probs, rows, lambda_t):
-        value, grad_logits = losses.cross_entropy_loss(probs, data[0].labels[rows])
-        return losses.LossValue(total=value, base=value, kl=0.0), grad_logits
+        return losses._cross_entropy(probs, data[0].labels[rows])
 
     return _run_stage(net, logits_net, data, plan, cross_entropy, stage=1,
                       learning_rate=plan.lr_stage1, epochs=plan.stage1_epochs,

@@ -2,11 +2,12 @@
 
 import copy
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from evidential import cli, losses, metrics, ndcore
+from evidential import cli, data, losses, metrics, ndcore
 from evidential.data import Dataset, SplitSpec, gen_blobs, split
 from evidential.losses import lambda_schedule
 from evidential.train import (
@@ -544,3 +545,22 @@ def test_labels_hardened_once_per_stage(mode, monkeypatch):
     run_plan(plan, pair)
     assert pair[0].n > 2 * plan.batch_size
     assert calls == [pair[0].n]
+
+
+def test_label_rows_checked_once_per_stage(monkeypatch):
+    pair = easy_pair()
+    plan = TrainPlan(mode="tedl", stage1_epochs=2, stage2_epochs=2, batch_size=64, seed=0)
+    calls, real = [], data.check_label_rows
+
+    def counting(labels):
+        calls.append(len(labels))
+        return real(labels)
+
+    patched = [name for name, module in list(sys.modules.items()) if name.startswith("evidential")
+               and getattr(module, "check_label_rows", None) is real]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "check_label_rows", counting)
+    run_plan(plan, pair)
+    assert {"evidential.data", "evidential.losses"} <= set(patched)
+    assert pair[0].n > 2 * plan.batch_size
+    assert calls == [pair[0].n, pair[0].n]
