@@ -18,7 +18,9 @@ import numpy as np
 from .ndcore import softmax
 
 _CSV_BLOCK_ROWS = 4096  # rows per formatted write and fewest rows per forked range
-_CSV_PARSE = dict(delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
+# The bulk parse reads no quotes, so a quoted cell cannot carry a row over a
+# line end; a range with one is parsed again by _parse_lines, which reads them.
+_CSV_PARSE = dict(delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
 def check_label_rows(labels: np.ndarray) -> None:
@@ -205,50 +207,56 @@ def _write_spill(rows: np.ndarray, spill):
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by save_csv; errors name the 1-based line.
+    """Read a dataset written by save_csv; errors name the file and the 1-based line.
 
     The body is cut at line ends into ranges (see _row_bounds), parsed in
-    forked children and gathered in order; any bad range sends the whole
-    file through the serial line scan, so messages do not depend on the cuts.
+    forked children and gathered in order. A range the bulk parse rejects
+    is parsed again a line at a time, and the first bad line of the first
+    such range is named, numbered from the bytes before its cut, so rows
+    and messages do not depend on the cuts.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         line = fh.readline()
-        header = next(csv.reader([line]), None) if line else None
-        if header is None:
-            raise ValueError(f"{path}: no data rows")
-        d = sum(1 for h in header if h.startswith("f"))
-        k = len(header) - d
-        names = [f"f{i}" for i in range(d)] + [f"y{j}" for j in range(k)]
-        if d < 1 or k < 2 or header != names:
-            raise ValueError(f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}")
-        try:
-            table = _load_body(path, len(line.encode("utf-8")), d, k)
-        except ValueError:
-            fh.seek(0)
-            raise ValueError(f"{path}: {_first_bad_line(fh, d, k)}") from None
+    header = next(csv.reader([line]), None) if line else None
+    if header is None:
+        raise ValueError(f"{path}: no data rows")
+    d = sum(1 for h in header if h.startswith("f"))
+    k = len(header) - d
+    names = [f"f{i}" for i in range(d)] + [f"y{j}" for j in range(k)]
+    if d < 1 or k < 2 or header != names:
+        raise ValueError(f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}")
+    table = _load_body(path, len(line.encode("utf-8")), d, k)
+    if table.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
     return Dataset(table[:, :d], table[:, d:], name=str(path))
 
 
 def _load_body(path, start: int, d: int, k: int) -> np.ndarray:
-    """The checked rows from byte `start` on; ValueError if any range is bad
-    or there are no rows."""
+    """The checked rows from byte `start` on; ValueError naming the first bad
+    line of the first range that has one."""
     cuts = _body_cuts(path, start)
     jobs = [functools.partial(_send_rows, path, a, b, d, k) for a, b in zip(cuts[1:], cuts[2:])]
     with _children(jobs) as pipes:
-        table = _parse_rows(path, cuts[0], cuts[1], d, k)
-        counts = [_receive(pipe) for pipe in pipes]
-        at = table.shape[0]
+        at = cuts[0]  # first byte of the range whose rows are being gathered
+        try:
+            table = _parse_rows(path, cuts[0], cuts[1], d, k)
+            counts = []
+            for at, pipe in zip(cuts[1:], pipes):
+                counts.append(_receive(pipe))
+        except _BadLine as bad:
+            index, message = bad.args
+            lineno = 2 + _line_ends(path, start, at) + index
+            raise ValueError(f"{path}: line {lineno}: {message}") from None
+        rows = table.shape[0]
         if counts:
-            # grow in place (the array is fresh from loadtxt, so no view of it
+            # grow in place (the array is fresh from the parse, so no view of it
             # exists) and read each child's rows straight into their place
-            table.resize((at + sum(counts), d + k), refcheck=False)
+            table.resize((rows + sum(counts), d + k), refcheck=False)
             for pipe, count in zip(pipes, counts):
-                rows = memoryview(table[at:at + count]).cast("B")
-                if pipe.readinto(rows) != rows.nbytes:
+                view = memoryview(table[rows:rows + count]).cast("B")
+                if pipe.readinto(view) != view.nbytes:
                     raise RuntimeError(f"{path}: a CSV worker process sent a short range")
-                at += count
-    if table.shape[0] == 0:
-        raise ValueError
+                rows += count
     return table
 
 
@@ -269,20 +277,79 @@ def _body_cuts(path, start: int) -> list:
 
 
 def _parse_rows(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
-    """The rows in bytes [start, stop) parsed as load_csv parses them;
-    ValueError unless each has d + k cells and a label row summing to 1."""
-    with open(path, "rb") as raw, io.TextIOWrapper(
-            io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
-            encoding="utf-8", newline="") as fh:
-        with warnings.catch_warnings():  # a range of blank lines has no rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(fh, **_CSV_PARSE)
+    """The rows in bytes [start, stop): one bulk parse if it accepts them
+    all, else _parse_lines's."""
+    try:
+        with open(path, "rb") as raw, _text_range(raw, start, stop) as fh:
+            return _bulk_rows(fh, d, k)
+    except ValueError:
+        pass
+    return _parse_lines(path, start, stop, d, k)
+
+
+def _bulk_rows(source, d: int, k: int) -> np.ndarray:
+    """The rows of one np.loadtxt call over `source` (a text file or a list of
+    lines); ValueError unless each has d + k cells, finite features and a
+    label row summing to 1."""
+    with warnings.catch_warnings():  # a run of blank lines has no rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(source, **_CSV_PARSE)
     if table.shape[0] == 0:
         return np.empty((0, d + k))
-    if table.shape[1] != d + k:
+    if table.shape[1] != d + k or not np.isfinite(table[:, :d]).all():
         raise ValueError
     check_label_rows(table[:, d:])
     return table
+
+
+class _BadLine(Exception):
+    """args: (the bad line's index from its range's first line, what is wrong)."""
+
+
+def _parse_lines(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
+    """The rows in bytes [start, stop) as a parse of one line at a time reads
+    them, cells maybe quoted; blocks of lines the bulk parse accepts are taken
+    whole. _BadLine at the first line this rejects."""
+    blocks, index = [], 0
+    with open(path, "rb") as raw, _text_range(raw, start, stop) as fh:
+        while lines := fh.readlines(1 << 14):
+            try:
+                blocks.append(_bulk_rows(lines, d, k))
+            except ValueError:
+                blocks.extend(_line_row(line, index + i, d, k) for i, line in enumerate(lines))
+            index += len(lines)
+    return np.concatenate(blocks) if blocks else np.empty((0, d + k))
+
+
+def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
+    """Line `index` of a range as a 1-row table (0 rows if blank); _BadLine if bad."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _BadLine(index, "not valid UTF-8") from None
+    cells = next(csv.reader([line]), [])
+    if not cells:
+        return np.empty((0, d + k))
+    if len(cells) != d + k:
+        raise _BadLine(index, f"expected {d + k} columns, got {len(cells)}")
+    try:
+        values = np.loadtxt([line], quotechar='"', **_CSV_PARSE)
+    except ValueError:
+        raise _BadLine(index, "non-numeric cell") from None
+    if not np.isfinite(values[:, :d]).all():
+        raise _BadLine(index, "non-finite cell")
+    try:
+        check_label_rows(values[:, d:])
+    except ValueError:
+        raise _BadLine(index, "label row does not sum to 1") from None
+    return values
+
+
+def _text_range(raw, start: int, stop: int):
+    """Bytes [start, stop) of the binary file `raw` as text whose lines end at
+    `\\r\\n`, `\\r` or `\\n`; a byte that is not UTF-8 reads as a lone surrogate."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
+                            encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def _send_rows(path, start: int, stop: int, d: int, k: int):
@@ -373,23 +440,18 @@ def _receive(pipe):
     return meta
 
 
-def _first_bad_line(fh, d: int, k: int) -> str:
-    """Name the first line the parse rejects, one line at a time; it returns no data."""
-    for lineno, line in enumerate(fh, start=1):
-        row = next(csv.reader([line]), [])
-        if lineno == 1 or not row:
-            continue
-        if len(row) != d + k:
-            return f"line {lineno}: expected {d + k} columns, got {len(row)}"
-        try:
-            values = np.loadtxt([line], **_CSV_PARSE)
-        except ValueError:
-            return f"line {lineno}: non-numeric cell"
-        try:
-            check_label_rows(values[:, d:])
-        except ValueError:
-            return f"line {lineno}: label row does not sum to 1"
-    return "no data rows"
+def _line_ends(path, start: int, stop: int) -> int:
+    """How many lines end in bytes [start, stop), split as _text_range
+    splits them: each `\\r\\n`, `\\r` and `\\n` ends one."""
+    ends, last = 0, b""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for at in range(start, stop, 1 << 20):
+            chunk = fh.read(min(1 << 20, stop - at))
+            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            ends -= last == b"\r" and chunk[:1] == b"\n"  # a \r\n split between reads
+            last = chunk[-1:]
+    return ends
 
 
 def split(dataset: Dataset, spec: SplitSpec):

@@ -2,7 +2,9 @@
 
 import csv
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,7 +321,8 @@ class TestCsvContract:
         "f0,y0,y1\r\n1,1,0\r\n2,0,1\r\n",
         "f0,y0,y1\n1,1,0\n2,0,1",
         "f0,y0,y1\r\n1,1,0\r\n2,0,1",
-    ], ids=["lf", "crlf", "lf_no_final_newline", "crlf_no_final_newline"])
+        "f0,y0,y1\r1,1,0\r2,0,1\r",
+    ], ids=["lf", "crlf", "lf_no_final_newline", "crlf_no_final_newline", "cr"])
     def test_line_endings(self, tmp_path, text):
         ds = self._load(tmp_path, text)
         assert ds.features.tolist() == [[1.0], [2.0]]
@@ -332,6 +335,12 @@ class TestCsvContract:
             with pytest.raises(ValueError, match="no data rows"):
                 self._load(tmp_path, text)
 
+    def test_quote_does_not_carry_a_cell_over_a_line_end(self, tmp_path):
+        # one bulk parse would read this as the row 1,1,0; a cut after the
+        # first line would not, so each line is read as one row
+        with pytest.raises(ValueError, match="line 2: expected 3 columns, got 1"):
+            self._load(tmp_path, 'f0,y0,y1\n"1\n",1,0\n')
+
     def test_nan_label_row_names_line(self, tmp_path):
         with pytest.raises(ValueError, match="line 2: label row does not sum to 1"):
             self._load(tmp_path, "f0,y0,y1\n1,nan,1\n")
@@ -340,6 +349,44 @@ class TestCsvContract:
         assert self._load(tmp_path, "f0,y0,y1\n1,0.5,0.5000000005\n").n == 1
         with pytest.raises(ValueError, match="line 3: label row does not sum to 1"):
             self._load(tmp_path, "f0,y0,y1\n1,1,0\n2,0.5,0.5000001\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", '"nan"'])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        with pytest.raises(ValueError) as err:
+            self._load(tmp_path, f"f0,f1,y0,y1\n1,2,1,0\n\n1,{cell},0,1\n")
+        assert str(err.value) == f"{tmp_path / 'd.csv'}: line 4: non-finite cell"
+
+    @pytest.mark.parametrize("body, line", [
+        (b"1,1,0\n\xff,0,1\n", 3),
+        (b"1,1,0\r\r\n1\xe2,0,1\r\n", 4),  # a lone \r ends line 3
+        (b"1,1,0\n" * 3000 + b"1,0,\xed\xa0\x80\n", 3002),  # past the first 8 KiB decoded
+    ], ids=["invalid_start_byte", "truncated_sequence", "encoded_surrogate"])
+    def test_invalid_utf8_names_line(self, tmp_path, body, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,y0,y1\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line {line}: not valid UTF-8"
+
+    @pytest.mark.parametrize("header", [b"\xef\xbb\xbff0,y0,y1", b"f0,y0,\xffy1"])
+    def test_bom_or_bad_byte_in_header_is_a_header_error(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_bytes(header + b"\r\n1,1,0\r\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}"
+
+    @pytest.mark.parametrize("body", [
+        b"", b"1", b"\r", b"\n", b"\r\n", b"a\rb\nc\r\n\r\r\n\n\rd", b"\n\r" * 5,
+        b"x" * ((1 << 20) - 1) + b"\r\n1\r",  # a \r\n split between 1 MiB reads
+    ])
+    def test_line_ends_count_as_the_text_scan_splits(self, tmp_path, body):
+        path = tmp_path / "d.bin"
+        path.write_bytes(b"hdr\n" + body)
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(fh)[1:]
+        ended = sum(1 for line in lines if line.endswith(("\r", "\n")))
+        assert data._line_ends(path, 4, len(body) + 4) == ended
 
 
 RANGED_ROWS = 2 * data._CSV_BLOCK_ROWS + 7
@@ -415,15 +462,17 @@ class TestCsvRanges:
 
     @pytest.mark.parametrize("ranges", RANGE_CASES)
     @pytest.mark.parametrize("bad_row, message", [
-        ("x,0,1,0.5,0.25,0.25", "non-numeric cell"),
-        ("1,0,1,0.5,0.5,0.25", "label row does not sum to 1"),
-    ], ids=["non_numeric", "label_row"])
+        (b"x,0,1,0.5,0.25,0.25", "non-numeric cell"),
+        (b"1,0,1,0.5,0.5,0.25", "label row does not sum to 1"),
+        (b"1,nan,1,0.5,0.25,0.25", "non-finite cell"),
+        (b"1,0,\xff,0.5,0.25,0.25", "not valid UTF-8"),
+    ], ids=["non_numeric", "label_row", "non_finite", "not_utf8"])
     def test_error_in_last_range_names_line(self, tmp_path, monkeypatch, ranges, bad_row,
                                             message):
         path = tmp_path / "bad.csv"
         reference_save_csv(RANGED_DATASET, path)
         lines = path.read_bytes().split(b"\r\n")
-        lines[-3] = bad_row.encode()  # the last range's second-to-last row
+        lines[-3] = bad_row  # the last range's second-to-last row
         path.write_bytes(b"\r\n".join(lines))
         expected = f"{path}: line {len(lines) - 2}: {message}"
         with pytest.raises(ValueError) as serial:
@@ -435,6 +484,41 @@ class TestCsvRanges:
         assert str(ranged.value) == expected
         assert len(forks) == ranges - 1
         _assert_clean(tmp_path, ["bad.csv"])
+
+    @pytest.mark.parametrize("ranges", RANGE_CASES)
+    @pytest.mark.parametrize("where", ["line_4", "first_line_of_last_range"])
+    @pytest.mark.parametrize("cell", [b"1e400", b"\xff"], ids=["non_finite", "not_utf8"])
+    def test_only_a_bad_range_is_parsed_line_by_line(self, tmp_path, monkeypatch, ranges,
+                                                    where, cell):
+        header = b"f0,y0,y1\r\n"
+        lines = _fixed_width_csv(RANGED_ROWS)
+        path = tmp_path / "d.csv"
+        path.write_bytes(header + b"".join(lines))
+        forks = _force_ranges(monkeypatch, ranges)
+        cuts = data._body_cuts(path, len(header))
+        i = 2 if where == "line_4" else (cuts[-2] - len(header)) // len(lines[0])
+        lines[i] = cell + lines[i][len(cell):]  # same length, so the cuts stay where they are
+        path.write_bytes(header + b"".join(lines))
+        expected = f"{path}: line {i + 2}: " + (
+            "non-finite cell" if cell == b"1e400" else "not valid UTF-8")
+        with pytest.raises(ValueError) as serial:
+            _one_range(monkeypatch, load_csv, path)
+        assert str(serial.value) == expected
+        seen, real_parse = tmp_path / "seen", data._parse_lines
+        seen.mkdir()
+
+        def parse_lines(path, start, stop, d, k):  # in whichever process parses the range
+            (seen / str(start)).touch()
+            return real_parse(path, start, stop, d, k)
+
+        monkeypatch.setattr(data, "_parse_lines", parse_lines)
+        with pytest.raises(ValueError) as ranged:
+            load_csv(path)
+        assert str(ranged.value) == expected
+        starts = [int(p.name) for p in seen.iterdir()]
+        assert starts == [cuts[0] if where == "line_4" else cuts[-2]]
+        assert len(forks) == ranges - 1
+        _assert_clean(tmp_path, ["d.csv", "seen"])
 
     @pytest.mark.parametrize("ranges", [2, 3])
     @pytest.mark.parametrize("variant", ["blank_line", "quoted_cell"])
@@ -527,6 +611,70 @@ class TestCsvRanges:
         assert len(seen) == ranges - 1
         assert all(set(names) <= {"out.csv"} for names in seen), seen
         _assert_clean(out_dir, ["out.csv"])
+
+
+def _fuzz_base(crlf: bool) -> bytes:
+    """A 40-row, 2-feature, 2-class CSV with short cells and exact label sums."""
+    rng = np.random.default_rng(23)
+    end = b"\r\n" if crlf else b"\n"
+    rows = [b"f0,f1,y0,y1"] + [
+        b"%.3f,%g,%g,%g" % (x, f, p, 1 - p)
+        for x, f, p in zip(rng.normal(size=40), rng.integers(-99, 99, 40) / 8,
+                           rng.integers(0, 5, 40) / 4)]
+    return end.join(rows) + end
+
+
+FUZZ_TOKENS = [b",", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\x00", b"nan", b"inf", b"-inf",
+               b"1e400", b'"', b'"1', b'1"']
+# Where a mutation lands: anywhere, or near where 2 or 3 ranges cut the body.
+FUZZ_POSITION = st.one_of(st.integers(0, 1 << 16), st.tuples(
+    st.sampled_from([1 / 3, 1 / 2, 2 / 3]), st.integers(-8, 32)))
+FUZZ_MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete"]), FUZZ_POSITION,
+                          st.integers(1, 255), st.sampled_from(FUZZ_TOKENS))
+
+
+def _mutate(text: bytes, mutations) -> bytes:
+    buf = bytearray(text)
+    for op, where, byte, token in mutations:
+        if isinstance(where, int):
+            at = where % len(buf)
+        else:
+            at = min(max(int(where[0] * len(buf)) + where[1], 0), len(buf) - 1)
+        if op == "flip":
+            buf[at] ^= byte
+        elif op == "insert":
+            buf[at:at] = token
+        else:  # delete the first `,`, `\r`, `\n` or `"` from `at` on
+            seps = [i for i in range(at, len(buf)) if buf[i] in b',\r\n"']
+            if seps:
+                del buf[seps[0]]
+    return bytes(buf)
+
+
+def _load_outcome(path):
+    """The loaded arrays' bits, or the message of the ValueError load_csv raised."""
+    try:
+        ds = load_csv(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+        return str(exc)
+    return ds.features.view(np.int64).tolist(), ds.labels.view(np.int64).tolist()
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(st.lists(FUZZ_MUTATION, min_size=1, max_size=3), st.booleans())
+def test_mutated_csv_loads_the_same_or_names_the_same_line_at_any_range_count(mutations, crlf):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(_mutate(_fuzz_base(crlf), mutations))
+        m.setattr(data, "_CSV_BLOCK_ROWS", 8)
+        outcomes = []
+        for ranges in RANGE_CASES:
+            m.setattr(os, "sched_getaffinity", lambda pid, n=ranges: set(range(n)))
+            outcomes.append(_load_outcome(path))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+        _assert_clean(Path(tmp), ["d.csv"])
 
 
 class TestSplit:
