@@ -16,6 +16,8 @@ import time
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import data as datamod
 from . import metrics, ndcore
 from .train import EpochRecord, RunResult, TrainPlan, run_plan
@@ -120,16 +122,17 @@ def save_model(net: ndcore.Network, path: Path) -> None:
 def load_model(path: Path) -> ndcore.Network:
     """The network in a model file. A missing file, or one of another format
     or version, is a ConfigError; a damaged one (not JSON, no payload or one
-    without its parts, a checksum mismatch) is a RuntimeError naming it."""
+    without its parts, a checksum mismatch, or parts that do not make a
+    network) is a RuntimeError naming it."""
     if not Path(path).exists():
         raise ConfigError(f"model file not found: {path}")
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RuntimeError(f"{path}: damaged model file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a model file")
-    if doc.get("version") != MODEL_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {doc.get('version')}")
     payload = doc.get("payload")
     if not isinstance(payload, dict) or not {"layers", "head", "class_count"} <= payload.keys():
@@ -137,10 +140,39 @@ def load_model(path: Path) -> ndcore.Network:
                            "and class_count")
     if _payload_sha256(payload) != doc.get("payload_sha256"):
         raise RuntimeError(f"{path}: checksum mismatch, file is corrupted")
-    layers = [ndcore.Layer(spec["weights"], spec["bias"], spec["activation"])
-              for spec in payload["layers"]]
+    try:
+        return _network_from_payload(payload)
+    except KeyError as exc:
+        raise RuntimeError(f"{path}: damaged model file: a layer has no {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RuntimeError(f"{path}: damaged model file: {exc}") from None
+
+
+def _network_from_payload(payload: dict) -> ndcore.Network:
+    """The network `payload` describes; KeyError, TypeError, ValueError or
+    OverflowError where it describes none."""
+    layers = []
+    for spec in payload["layers"]:
+        weights, bias = _parameters(spec["weights"], 2), _parameters(spec["bias"], 1)
+        shape = spec["shape"]
+        if shape != list(weights.shape) or any(type(v) is not int for v in shape):
+            raise ValueError(f"layer shape {shape!r} does not match its weights")
+        layers.append(ndcore.Layer(weights, bias, spec["activation"]))
+    if type(payload["class_count"]) is not int:
+        raise ValueError("class_count must be an integer")
     return ndcore.Network(layers=layers, head=payload["head"],
                           class_count=payload["class_count"])
+
+
+def _parameters(value, ndim: int) -> np.ndarray:
+    """`value`, nested lists of JSON numbers `ndim` deep, as a finite float64 array."""
+    cells = np.array(value, dtype=object)
+    if cells.ndim != ndim or any(type(v) not in (int, float) for v in cells.flat):
+        raise ValueError(f"layer parameters must be a {ndim}-D array of numbers")
+    array = cells.astype(np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError("non-finite layer parameter")
+    return array
 
 
 # ------------------------------------------------------------ config / data

@@ -9,6 +9,7 @@ import io
 import os
 import pickle
 import shutil
+import signal
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -327,7 +328,13 @@ def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
         line.encode("utf-8")
     except UnicodeEncodeError:
         raise _BadLine(index, "not valid UTF-8") from None
-    cells = next(csv.reader([line]), [])
+    try:
+        cells = next(csv.reader([line]), [])
+    except csv.Error as exc:  # a cell past the csv module's field size limit
+        try:  # a line the bulk parse takes, which reads no quotes, is still a row
+            return _bulk_rows([line], d, k)
+        except ValueError:
+            raise _BadLine(index, str(exc)) from None
     if not cells:
         return np.empty((0, d + k))
     if len(cells) != d + k:
@@ -387,12 +394,18 @@ def _row_bounds(rows: int) -> list:
 @contextlib.contextmanager
 def _children(jobs):
     """Fork one child per job and yield the read ends of their pipes, in
-    order; on leaving, close every pipe and reap every child."""
+    order; on leaving, close every pipe and reap every child. If the caller
+    raises, no result is wanted, so every child is killed before it is
+    reaped rather than left to finish its range."""
     kids = []
     try:
         for job in jobs:
             kids.append(_fork(job, [pipe for _, pipe in kids]))
         yield [pipe for _, pipe in kids]
+    except BaseException:
+        for pid, _ in kids:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still this child's
+        raise
     finally:
         for pid, pipe in kids:
             pipe.close()  # a child still writing gets EPIPE and exits

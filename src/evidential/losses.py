@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import check_label_rows
 from .ndcore import as_matrix
-from .specfun import _gamma_terms
+from .specfun import _gamma_rows
 
 _LOG_CLAMP = 1e-15
 
@@ -79,14 +79,14 @@ def _edl_base(out: EvidentialOutput, y: np.ndarray):
     p = out.p_hat
     s = out.strength[:, None]
     q = (p * p).sum(axis=1, keepdims=True)
+    resid, s_plus_1, one_minus_q = p - y, s + 1.0, 1.0 - q
 
-    per_sample = ((y - p) ** 2).sum(axis=1) + (1.0 - q[:, 0]) / (s[:, 0] + 1.0)
+    per_sample = (resid * resid).sum(axis=1) + one_minus_q[:, 0] / s_plus_1[:, 0]
     value = float(per_sample.mean())
 
-    resid = p - y
     inner = (resid * p).sum(axis=1, keepdims=True)
     g_fit = 2.0 * (resid - inner) / s
-    g_var = -2.0 * (p - q) / (s * (s + 1.0)) - (1.0 - q) / (s + 1.0) ** 2
+    g_var = -2.0 * (p - q) / (s * s_plus_1) - one_minus_q / (s_plus_1 * s_plus_1)
     grad = (g_fit + g_var) / n
     return value, grad
 
@@ -121,20 +121,34 @@ def make_alpha_tilde(alpha, y):
     return _alpha_tilde(alpha, y)
 
 
+# The kernel's ln Gamma, digamma and trigamma at 1 (ln Gamma(1) is exactly 0.0).
+_AT_ONE = _gamma_rows(np.ones(1))[:, :, None]
+
+
 def _kl_uniform(at: np.ndarray):
     n, k = at.shape
     st = at.sum(axis=1)
-    # One special-function pass over [alpha_tilde, S_tilde, K].
-    lg, dg, tg = _gamma_terms(np.concatenate([at.ravel(), st, [float(k)]]), "kl_to_uniform")
-    m = n * k
+    # One special-function pass over the entries other than 1, S_tilde and K.
+    # An entry of exactly 1 (every true class of alpha_tilde) takes the
+    # kernel's values at 1, so every result keeps the bits of a pass over all
+    # entries; its weight alpha_tilde - 1 is exactly 0 in any case.
+    free = at != 1.0
+    kept = at[free]
+    m = kept.size
+    terms = _gamma_rows(np.concatenate([kept, st, [float(k)]]), "kl_to_uniform")
+    lg, dg, tg = terms
+    full = np.empty((3, n, k))
+    full[...] = _AT_ONE
+    full[:, free] = terms[:, :m]
+    weight = at - 1.0
     per_sample = (
         lg[m:-1]
         - lg[-1]
-        - lg[:m].reshape(n, k).sum(axis=1)
-        + ((at - 1.0) * (dg[:m].reshape(n, k) - dg[m:-1][:, None])).sum(axis=1)
+        - full[0].sum(axis=1)
+        + (weight * (full[1] - dg[m:-1][:, None])).sum(axis=1)
     )
     value = float(per_sample.mean())
-    grad = ((at - 1.0) * tg[:m].reshape(n, k) - ((st - k) * tg[m:-1])[:, None]) / n
+    grad = (weight * full[2] - ((st - k) * tg[m:-1])[:, None]) / n
     return value, grad
 
 

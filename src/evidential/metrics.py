@@ -38,14 +38,6 @@ class EvalReport:
     uncertainty_histogram: Histogram | None = None
 
 
-def _tied_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks; each group of equal scores shares its mid-rank."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return (0.5 * (starts + ends - 1) + 1.0)[inverse]
-
-
 def roc_auc(scores, labels) -> float | None:
     """Mann-Whitney AUC with half credit for ties, O(n log n).
 
@@ -61,28 +53,89 @@ def roc_auc(scores, labels) -> float | None:
         raise ValueError("scores must be finite")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
-    labels = labels.astype(int)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = _tied_ranks(scores)
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _column_aucs(scores, labels == 1, None, [None], [scores.size])[0]
+
+
+def _column_aucs(scores, positive, keys, taus, counts) -> list:
+    """The tie-aware AUC of one score column over each row set
+    {keys < tau} (every row where keys is None), from one sort.
+
+    `counts` holds each set's size. Any two such sets are nested, so a set
+    the size of the one before is that set and reuses its AUC. A set's
+    positive rank sum is read from running counts of its rows and of its
+    positives at the edges of the groups of equal scores: each positive
+    ranks after the set's rows in lower groups and at the middle of its
+    own group. Twice that sum is an integer, so the AUC is exactly what
+    summing the mid-ranks of the set alone gives, in any order.
+    """
+    order = np.argsort(scores)  # the order within a group of ties never matters
+    ranked = scores[order]
+    edges = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
+    positive = positive[order]
+    keys = None if keys is None else keys[order]
+    running = np.zeros(scores.size + 1, dtype=np.intp)
+    aucs = []
+    for t, (tau, count) in enumerate(zip(taus, counts)):
+        if t and count == counts[t - 1]:
+            aucs.append(aucs[-1])
+            continue
+        if count == 0:
+            aucs.append(None)
+            continue
+        if count == scores.size:  # every row
+            at_edges, hits = edges, positive
+        else:
+            inside = keys < tau
+            np.cumsum(inside, out=running[1:])
+            at_edges, hits = running[edges], inside & positive
+        np.cumsum(hits, out=running[1:])
+        pos_at_edges = running[edges]
+        n_pos = int(pos_at_edges[-1])
+        n_neg = count - n_pos
+        if n_pos == 0 or n_neg == 0:
+            aucs.append(None)
+            continue
+        twice = int(np.dot(np.diff(pos_at_edges), at_edges[:-1] + at_edges[1:] + 1))
+        aucs.append((twice / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return aucs
+
+
+def _multiclass_aucs(p_hat: np.ndarray, class_idx: np.ndarray, keys, taus):
+    """(multiclass_auc, row count) of each row set {keys < tau} (every row
+    where keys is None), sorting each score column once; None for an empty set.
+
+    Raises the error that the first set holding a bad row would raise on
+    its own: a non-finite score, then (two classes) a label not 0 or 1.
+    """
+    n, k = p_hat.shape
+    if class_idx.shape != (n,):
+        raise ValueError("scores and labels must have equal length")
+    sets = [None] * len(taus) if keys is None else [keys < tau for tau in taus]
+    counts = [n if rows is None else int(np.count_nonzero(rows)) for rows in sets]
+    columns = [1] if k == 2 else range(k)
+    bad_score = ~np.isfinite(p_hat[:, columns]).all(axis=1)
+    bad_label = ~((class_idx == 0) | (class_idx == 1)) if k == 2 else np.zeros(n, bool)
+    if bad_score.any() or bad_label.any():
+        for rows in sets:
+            if (bad_score if rows is None else bad_score & rows).any():
+                raise ValueError("scores must be finite")
+            if (bad_label if rows is None else bad_label & rows).any():
+                raise ValueError("labels must be 0 or 1")
+    if k == 2:
+        return _column_aucs(p_hat[:, 1], class_idx == 1, keys, taus, counts), counts
+    per_class = [_column_aucs(p_hat[:, j], class_idx == j, keys, taus, counts)
+                 for j in range(k)]
+    return [float(np.mean(parts)) if parts else None
+            for parts in ([auc for auc in point if auc is not None]
+                          for point in zip(*per_class))], counts
 
 
 def multiclass_auc(p_hat: np.ndarray, class_idx: np.ndarray) -> float | None:
     """Binary tasks score class 1 directly; K > 2 falls back to a
     one-vs-rest macro average over classes with both outcomes present."""
     p_hat = np.asarray(p_hat, dtype=np.float64)
-    if p_hat.shape[1] == 2:
-        return roc_auc(p_hat[:, 1], class_idx)
-    parts = []
-    for j in range(p_hat.shape[1]):
-        auc = roc_auc(p_hat[:, j], (class_idx == j).astype(int))
-        if auc is not None:
-            parts.append(auc)
-    return float(np.mean(parts)) if parts else None
+    (auc,), _ = _multiclass_aucs(p_hat, np.asarray(class_idx).ravel(), None, [None])
+    return auc
 
 
 def auc_vs_uncertainty(
@@ -92,6 +145,7 @@ def auc_vs_uncertainty(
 
     Defaults to the decade grid 0.1..1.0 plus a point just above the
     maximum observed uncertainty, so the last entry covers the full set.
+    Each score column is sorted once for the whole curve.
     """
     labels = np.asarray(labels).ravel().astype(int)
     u = out.uncertainty
@@ -102,13 +156,9 @@ def auc_vs_uncertainty(
         grid = [float(t) for t in thresholds]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("thresholds must be strictly increasing")
-    curve = []
-    for tau in grid:
-        mask = u < tau
-        count = int(mask.sum())
-        auc = multiclass_auc(out.p_hat[mask], labels[mask]) if count else None
-        curve.append(ThresholdPoint(threshold=tau, auc=auc, sample_count=count))
-    return curve
+    aucs, counts = _multiclass_aucs(out.p_hat, labels, u, grid)
+    return [ThresholdPoint(threshold=tau, auc=auc, sample_count=count)
+            for tau, auc, count in zip(grid, aucs, counts)]
 
 
 def uncertainty_histogram(out: losses.EvidentialOutput, bins: int) -> Histogram:
@@ -133,11 +183,12 @@ def evaluate(raw, head: str, labels, epoch: int, method: str):
         return EvalReport(epoch=epoch, method=method,
                           overall_auc=multiclass_auc(raw, labels)), None
     view = losses.evidence_to_alpha(raw, head)
+    curve = auc_vs_uncertainty(view, labels)
     report = EvalReport(
         epoch=epoch,
         method=method,
-        overall_auc=multiclass_auc(view.p_hat, labels),
-        threshold_curve=auc_vs_uncertainty(view, labels),
+        overall_auc=curve[-1].auc,  # the default grid's last point covers every row
+        threshold_curve=curve,
         uncertainty_histogram=uncertainty_histogram(view, bins=20),
     )
     return report, view

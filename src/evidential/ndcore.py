@@ -57,7 +57,7 @@ def _activate_grad(tag: str, a: np.ndarray, tanh_a: np.ndarray | None = None) ->
         t = np.tanh(a) if tanh_a is None else tanh_a
         return 1.0 - t * t
     if tag == "relu":
-        return (a > 0.0).astype(np.float64)
+        return a > 0.0  # a boolean mask: multiplying by it keeps or zeroes each entry
     if tag == "elu":
         return np.where(a > 0.0, 1.0, np.exp(np.minimum(a, 0.0)))
     if tag == "identity":
@@ -143,7 +143,7 @@ class Network:
 def global_norm(net: Network, grad: np.ndarray) -> float:
     """Norm of a gradient in `theta`'s layout, summed per array: weights, then biases."""
     squares = grad * grad
-    return float(np.sqrt(sum(float(squares[i:j].sum()) for i, j, _ in net._layout)))
+    return float(np.sqrt(sum(float(np.add.reduce(squares[i:j])) for i, j, _ in net._layout)))
 
 
 def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
@@ -170,7 +170,8 @@ def forward_with_cache(net: Network, x):
         )
     pre, post, z = [], [], x
     for idx, layer in enumerate(net.layers):
-        a = z @ layer.weights + layer.bias
+        a = z @ layer.weights
+        a += layer.bias
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite pre-activation in layer {idx}")
         z = _activate(layer.activation, a)

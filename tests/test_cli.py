@@ -1,10 +1,16 @@
 """CLI surface: gen / train / eval / compare, exit codes and artifacts."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidential import cli, metrics, ndcore
 from evidential.cli import main
@@ -350,6 +356,120 @@ class TestModelIO:
         path.write_text("{}")
         with pytest.raises(cli.ConfigError, match="not a model"):
             cli.load_model(path)
+
+
+def _model_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        cli.save_model(ndcore.init_network([2, 3, 2], "relu", head="elu_evidence", seed=0), path)
+        return path.read_bytes()
+
+
+MODEL_BYTES = _model_bytes()
+MODEL_DOC = json.loads(MODEL_BYTES)
+
+
+def _json_paths(value, prefix=()):
+    """The key path of every value inside `value`, parents before children."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+MODEL_PATHS = list(_json_paths(MODEL_DOC))
+# Dropping a whole layer and re-signing leaves a sound model of another shape.
+DROP_PATHS = [path for path in MODEL_PATHS if path[-2:-1] != ("layers",)]
+# A value of another JSON type than the one it replaces, or a non-finite number.
+WRONG_TYPES = {
+    "number": [None, True, "1", [], {}, [1.0]],
+    "str": [None, False, 7, [], {}, ["relu"]],
+    "list": [None, True, 2, "x", {}],
+    "dict": [None, 0, "x", []],
+}
+MODEL_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, len(MODEL_BYTES) - 1)),
+    st.tuples(st.just("flip"), st.integers(0, len(MODEL_BYTES) - 1), st.integers(1, 255)),
+    st.tuples(st.just("retype"), st.sampled_from(MODEL_PATHS), st.integers(0, 5), st.booleans()),
+    st.tuples(st.just("non_finite"), st.sampled_from(MODEL_PATHS),
+              st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]), st.booleans()),
+    st.tuples(st.just("drop"), st.sampled_from(DROP_PATHS), st.booleans()),
+    st.tuples(st.just("checksum"), st.text("0123456789abcdef", min_size=0, max_size=64)),
+)
+
+
+def _kind(value) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+def _mutated_model(mutation) -> bytes:
+    """MODEL_BYTES damaged by one mutation; a structural one may re-sign the
+    payload, so that the damage reaches past the checksum."""
+    op = mutation[0]
+    if op == "truncate":
+        return MODEL_BYTES[:mutation[1]]
+    if op == "flip":
+        blob = bytearray(MODEL_BYTES)
+        blob[mutation[1]] ^= mutation[2]
+        return bytes(blob)
+    doc = json.loads(MODEL_BYTES)
+    if op == "checksum":
+        doc["payload_sha256"] = mutation[1]
+        return json.dumps(doc, indent=1).encode()
+    path, resign = mutation[1], mutation[-1]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "non_finite":
+        parent[path[-1]] = "@@NONFINITE@@"
+    else:
+        choices = WRONG_TYPES.get(_kind(parent[path[-1]]), [None])
+        parent[path[-1]] = choices[mutation[2] % len(choices)]
+    if resign and isinstance(doc.get("payload"), dict):
+        doc["payload_sha256"] = cli._payload_sha256(doc["payload"])
+    text = json.dumps(doc, indent=1)
+    if op == "non_finite":
+        text = text.replace('"@@NONFINITE@@"', mutation[2])
+    return text.encode()
+
+
+def _documented_exits(blob: bytes) -> set:
+    """The exit codes README allows `eval` for a model file holding `blob`:
+    2 for a damaged file, 1 for a JSON object of another format or version,
+    0 only for the original document, however it is spaced."""
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except ValueError:
+        return {2}
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if (not isinstance(doc, dict) or doc.get("format") != cli.MODEL_FORMAT
+            or type(version) is not int or version != cli.MODEL_VERSION):
+        return {1}
+    same = json.dumps(doc, sort_keys=True) == json.dumps(MODEL_DOC, sort_keys=True)
+    return {0} if same else {2}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(MODEL_MUTATION)
+def test_mutated_model_file_exits_as_documented_and_names_the_file(mutation):
+    blob = _mutated_model(mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data = Path(tmp) / "model.json", Path(tmp) / "d.csv"
+        model.write_bytes(blob)
+        save_csv(gen_blobs(30, 2, 2, 6.0, seed=9), data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("eval", "--model", str(model), "--data", str(data),
+                           "--out", str(Path(tmp) / "e"))
+    assert code in _documented_exits(blob), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert str(model) in err.getvalue(), err.getvalue()
 
 
 class TestEval:

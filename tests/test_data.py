@@ -3,6 +3,7 @@
 import csv
 import os
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -436,6 +437,13 @@ def _assert_clean(directory, names):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
 def _fixed_width_csv(rows):
     """A 1-feature, 2-class body whose rows all have 29 bytes."""
     rng = np.random.default_rng(5)
@@ -466,7 +474,8 @@ class TestCsvRanges:
         (b"1,0,1,0.5,0.5,0.25", "label row does not sum to 1"),
         (b"1,nan,1,0.5,0.25,0.25", "non-finite cell"),
         (b"1,0,\xff,0.5,0.25,0.25", "not valid UTF-8"),
-    ], ids=["non_numeric", "label_row", "non_finite", "not_utf8"])
+        (b"1" * 200000 + b",0,1,0.5,0.25,0.25", "field larger than field limit (131072)"),
+    ], ids=["non_numeric", "label_row", "non_finite", "not_utf8", "over_long_cell"])
     def test_error_in_last_range_names_line(self, tmp_path, monkeypatch, ranges, bad_row,
                                             message):
         path = tmp_path / "bad.csv"
@@ -519,6 +528,66 @@ class TestCsvRanges:
         assert starts == [cuts[0] if where == "line_4" else cuts[-2]]
         assert len(forks) == ranges - 1
         _assert_clean(tmp_path, ["d.csv", "seen"])
+
+    @pytest.mark.parametrize("ranges", RANGE_CASES)
+    def test_over_long_valid_cell_is_a_row(self, tmp_path, monkeypatch, ranges):
+        # past the csv module's field limit, yet a number the bulk parse reads
+        long_cell = b"1." + b"0" * 199998
+        path = tmp_path / "d.csv"
+        reference_save_csv(RANGED_DATASET, path)
+        lines = path.read_bytes().split(b"\r\n")
+        i = len(lines) - 6  # in the last range
+        lines[i] = long_cell + b"," + lines[i].split(b",", 1)[1]
+        path.write_bytes(b"\r\n".join(lines))
+        forks = _force_ranges(monkeypatch, ranges)
+        back = load_csv(path)
+        assert back.features[i - 1, 0] == 1.0
+        assert np.array_equal(back.labels, RANGED_DATASET.labels)
+        # a bad line two lines on sends that line's block to the line-at-a-time parse
+        lines[i + 2] = b"x" + lines[i + 2][1:]
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError) as ranged:
+            load_csv(path)
+        assert str(ranged.value) == f"{path}: line {i + 3}: non-numeric cell"
+        assert len(forks) == 2 * (ranges - 1)
+        _assert_clean(tmp_path, ["d.csv"])
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("where", ["parent", "first_child"])
+    def test_a_failed_range_kills_the_children_still_running(self, tmp_path, monkeypatch,
+                                                             ranges, where):
+        path = tmp_path / "d.csv"
+        save_csv(RANGED_DATASET, path)
+        forks = _force_ranges(monkeypatch, ranges)
+        cuts = data._body_cuts(path, path.read_bytes().index(b"\n") + 1)
+        bad_start = cuts[0] if where == "parent" else cuts[1]
+        real_parse, real_write = data._parse_rows, data._write_rows
+        parent = os.getpid()
+
+        def parse_rows(path, start, stop, d, k):
+            if start == bad_start:
+                raise RuntimeError("range failed")
+            if os.getpid() != parent:
+                time.sleep(60)  # a range whose result is no longer wanted
+            return real_parse(path, start, stop, d, k)
+
+        def write_rows(fh, rows):
+            if np.array_equal(rows[0, :3], RANGED_DATASET.features[bad_row]):
+                raise RuntimeError("range failed")
+            if os.getpid() != parent:
+                time.sleep(60)
+            real_write(fh, rows)
+
+        bad_row = data._row_bounds(RANGED_ROWS)[0 if where == "parent" else 1]
+        monkeypatch.setattr(data, "_parse_rows", parse_rows)
+        monkeypatch.setattr(data, "_write_rows", write_rows)
+        for call, args in ((load_csv, (path,)), (save_csv, (RANGED_DATASET, tmp_path / "o.csv"))):
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="range failed"):
+                call(*args)
+            assert time.monotonic() - started < 30
+        assert len(forks) == 2 * (ranges - 1)
+        _assert_clean(tmp_path, ["d.csv", "o.csv"])
 
     @pytest.mark.parametrize("ranges", [2, 3])
     @pytest.mark.parametrize("variant", ["blank_line", "quoted_cell"])
@@ -596,6 +665,9 @@ class TestCsvRanges:
             else:
                 real_write(fh, rows)
             if fail == ("child" if in_child else "parent"):
+                # a failure kills the children still running, so fail only once
+                # every child has listed the directory
+                _wait_for(lambda: len(os.listdir(seen_dir)) == ranges - 1)
                 raise RuntimeError(f"range failed in the {fail}")
 
         monkeypatch.setattr(data, "_write_rows", write_rows)

@@ -17,7 +17,7 @@ from evidential.losses import (
     make_alpha_tilde,
 )
 from evidential.ndcore import softmax
-from oracles import edl_base_loss_phat_form
+from oracles import edl_base_loss_phat_form, kl_uniform_full_pass
 
 
 def onehot(indices, k):
@@ -223,6 +223,65 @@ class TestKLToUniform:
         _, g_small = kl_to_uniform([[10.0, 1.0]])
         _, g_large = kl_to_uniform([[1e4, 1.0]])
         assert np.linalg.norm(g_large) >= 10.0 * np.linalg.norm(g_small)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestKlPassBits:
+    """The KL kernel leaves every entry equal to 1 out of its special-function
+    pass; its value and gradient keep the bits of a pass over every entry."""
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("labels", ["hard", "soft"])
+    @pytest.mark.parametrize("head", ["relu_evidence", "elu_evidence"])
+    def test_training_batch_matches_full_pass(self, k, labels, head):
+        rng = np.random.default_rng(k)
+        n = 128
+        logits = rng.normal(0.0, 2.0, (n, k))
+        logits[rng.random((n, k)) < 0.2] = 0.0  # ELU evidence of exactly 0 too
+        evidence = (np.maximum(logits, 0.0) if head == "relu_evidence"
+                    else np.where(logits > 0.0, logits, np.expm1(np.minimum(logits, 0.0))))
+        y = (onehot(rng.integers(0, k, n), k) if labels == "hard"
+             else softmax(3.0 * rng.normal(size=(n, k))))
+        y_hard = harden_labels(y)
+        at = losses._alpha_tilde(evidence_to_alpha(evidence, head).alpha, y_hard)
+        assert ((at == 1.0) & (y_hard == 0.0)).any()  # off-true-class evidence of exactly 0
+        value, grad = losses._kl_uniform(at)
+        want_value, want_grad = kl_uniform_full_pass(at)
+        assert _same_bits(value, want_value)
+        assert _same_bits((1.0 - y_hard) * grad, (1.0 - y_hard) * want_grad)
+        assert _same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("at", [
+        [[1.0, 1.0]],
+        [[1.0, 1.0, 1.0], [1.0, 2.5, 1.0]],
+        [[1e-15, 1.0], [1.0, 1e-15]],
+        [[1.0, 12.0, 1.0 + 2 ** -52, 1.0 - 2 ** -53]],
+        np.random.default_rng(4).random((7, 10)) * 5.0 + 1e-9,
+    ], ids=["all_ones", "mostly_ones", "tiny", "next_to_one", "no_ones"])
+    def test_any_alpha_tilde_matches_full_pass(self, at):
+        at = np.asarray(at, dtype=np.float64)
+        value, grad = kl_to_uniform(at)
+        want_value, want_grad = kl_uniform_full_pass(at)
+        assert _same_bits(value, want_value)
+        assert _same_bits(grad, want_grad)
+
+    def test_pass_holds_only_entries_other_than_one(self, monkeypatch):
+        seen = []
+        real = losses._gamma_rows
+
+        def gamma_rows(flat, name="gamma_terms"):
+            seen.append(flat.size)
+            return real(flat, name)
+
+        monkeypatch.setattr(losses, "_gamma_rows", gamma_rows)
+        alpha = np.random.default_rng(5).random((128, 2)) + 1.5
+        y = onehot(np.arange(128) % 2, 2)
+        losses._kl_uniform(losses._alpha_tilde(alpha, y))
+        assert seen == [257]  # 128 off-true-class entries, 128 S_tilde and K
 
 
 class TestTotalLoss:

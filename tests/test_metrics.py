@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidential.losses import evidence_to_alpha
+from evidential.losses import EvidentialOutput, evidence_to_alpha
 from evidential.metrics import (
     DEFAULT_THRESHOLDS,
     EvalReport,
-    _tied_ranks,
     auc_vs_uncertainty,
     evaluate,
     multiclass_auc,
     roc_auc,
     uncertainty_histogram,
+)
+from oracles import (
+    auc_vs_uncertainty_per_subset,
+    multiclass_auc_ranked,
+    tied_ranks,
 )
 
 
@@ -118,7 +122,7 @@ class TestTiedRanks:
         np.array([0.9, 0.1]),
     ], ids=["rounded", "three_levels", "all_equal", "n1", "n2_tied", "n2_distinct"])
     def test_matches_brute_force_mid_ranks(self, scores):
-        assert np.array_equal(_tied_ranks(scores), brute_force_mid_ranks(scores))
+        assert np.array_equal(tied_ranks(scores), brute_force_mid_ranks(scores))
 
 
 class TestMulticlassAuc:
@@ -226,3 +230,57 @@ class TestEvaluate:
         assert report.uncertainty_histogram.total == 3
         assert report.threshold_curve[-1].sample_count == 3
         assert evaluate(evidence, "identity", labels, 4, "tedl")[1] is None
+
+
+def _outcome(call, *args):
+    """What `call(*args)` gives, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(value):
+    """A comparable form of an AUC that tells apart every float64 bit pattern."""
+    return None if value is None else np.float64(value).view(np.int64).item()
+
+
+@st.composite
+def _rank_once_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 40))
+    # small integer evidence, so that scores and uncertainties tie often
+    evidence = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                      min_size=n, max_size=n)), dtype=np.float64).reshape(n, k)
+    out = evidence_to_alpha(evidence, "relu_evidence")
+    top = 3 if k == 2 and draw(st.booleans()) else k  # a class label 2 is bad when K = 2
+    labels = np.array(draw(st.lists(st.integers(0, top - 1), min_size=n, max_size=n)), dtype=int)
+    if n and draw(st.integers(0, 4)) == 0:  # a non-finite score
+        p_hat = out.p_hat.copy()
+        p_hat[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = np.nan
+        out = EvidentialOutput(out.evidence, out.alpha, out.strength, p_hat, out.uncertainty)
+    grid = None
+    if draw(st.booleans()):
+        levels = sorted(set(out.uncertainty.tolist()) | {0.0, 0.3, 0.5, 0.75, 1.0, 1.5})
+        grid = sorted(draw(st.sets(st.sampled_from(levels), min_size=1, max_size=6)))
+    return out, labels, grid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rank_once_cases())
+def test_rank_once_curve_matches_per_subset_ranks_bit_for_bit(case):
+    out, labels, grid = case
+    got = _outcome(auc_vs_uncertainty, out, labels, grid)
+    want = _outcome(auc_vs_uncertainty_per_subset, out, labels, grid)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert [(p.threshold, _bits(p.auc), p.sample_count) for p in got] == [
+        (tau, _bits(auc), count) for tau, auc, count in want]
+    all_rows = _outcome(multiclass_auc_ranked, out.p_hat, labels)
+    got_all = _outcome(multiclass_auc, out.p_hat, labels)
+    assert (got_all == all_rows if isinstance(all_rows, tuple)
+            else _bits(got_all) == _bits(all_rows))
+    if out.uncertainty.size and np.isfinite(out.p_hat).all() and labels.max(initial=0) < 2:
+        report, _ = evaluate(out.evidence, "relu_evidence", labels, 0, "x")
+        assert _bits(report.overall_auc) == _bits(all_rows)

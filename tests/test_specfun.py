@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,16 +150,62 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 8, 9, 385, 20000])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 8, 9, 385, 511, 512, 513, 1281, 1409, 2817,
+                               4097, 20000])
 def test_stacked_kernel_matches_loop_form_bit_for_bit(m):
     # m = 1 is where a `sum` over the shift or series rows would round
     # differently from the loop's running total. Summing the eight series
     # terms pairwise changes about 1 value in 3000, so m = 20000 (many
-    # passes of the kernel) catches that too.
+    # passes of the kernel) catches that too. 4097 ends in a pass of one.
     rng = np.random.default_rng(m)
     xs = np.concatenate([[1e-15, 9.999999999, 10.0, 1e6], rng.random(m) * 12.0 + 1e-12])[:m]
     for stacked, loop in zip(_gamma_terms(xs), gamma_terms_loop(xs)):
         assert _same_bits(stacked, loop)
+
+
+def test_kept_buffer_carries_nothing_between_calls():
+    # Alternate sizes, so that each pass reuses cells an earlier, larger or
+    # smaller pass wrote; every result must still match the loop form, and
+    # must own its memory.
+    rng = np.random.default_rng(3)
+    for m in [4097, 1, 1409, 257, 4096, 3, 2817, 385, 4097, 0, 513]:
+        xs = np.exp(rng.uniform(-20, 20, m))
+        results = _gamma_terms(xs)
+        for stacked, loop in zip(results, gamma_terms_loop(xs)):
+            assert _same_bits(stacked, loop)
+            assert not np.shares_memory(stacked, specfun._SCRATCH.buf)
+        _gamma_terms(rng.random(4096) + 1e-3)  # overwrites every cell the next call reads
+        for stacked, loop in zip(results, gamma_terms_loop(xs)):
+            assert _same_bits(stacked, loop)
+    assert specfun._SCRATCH.buf.size == specfun._Scratch.ROWS * specfun._PASS
+
+
+def test_concurrent_calls_never_share_a_buffer():
+    # Each thread has its own kept buffer; with one shared buffer, threads
+    # switching between numpy calls would read each other's passes.
+    sizes = [257, 1409, 4097, 385, 3, 2817]
+    inputs = [np.random.default_rng(m).random(m) * 12.0 + 1e-9 for m in sizes]
+    expected = [gamma_terms_loop(xs) for xs in inputs]
+    failures = []
+
+    def work(i):
+        for _ in range(40):
+            for stacked, loop in zip(_gamma_terms(inputs[i]), expected[i]):
+                if not _same_bits(stacked, loop):
+                    failures.append(sizes[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sizes))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 @pytest.mark.parametrize("xs", [
