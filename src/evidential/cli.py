@@ -358,8 +358,8 @@ def cmd_eval(args) -> int:
     ds = _read_dataset(Path(args.data))
     if (ds.dim, ds.class_count) != (net.input_dim, net.class_count):
         raise ConfigError(
-            f"model expects {net.input_dim} features and {net.class_count} classes, "
-            f"dataset has {ds.dim} and {ds.class_count}"
+            f"model {args.model} expects {net.input_dim} features and {net.class_count} "
+            f"classes, dataset {args.data} has {ds.dim} and {ds.class_count}"
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .ndcore import softmax
 
-_CSV_BLOCK_ROWS = 4096  # rows per formatted write and fewest rows per forked range
+_CSV_BLOCK_ROWS = 4096  # fewest rows per forked range
+_FORMAT_CELLS = 1 << 15  # cells per formatted block, which bound its temporaries
 # The bulk parse reads no quotes, so a quoted cell cannot carry a row over a
 # line end; a range with one is parsed again by _parse_lines, which reads them.
 _CSV_PARSE = dict(delimiter=",", comments=None, ndmin=2, dtype=np.float64)
@@ -193,10 +194,89 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
-    """Format rows into a binary file, one `%` per block of _CSV_BLOCK_ROWS rows."""
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    for block in np.split(rows, range(_CSV_BLOCK_ROWS, rows.shape[0], _CSV_BLOCK_ROWS)):
-        fh.write(((row_fmt * block.shape[0]) % tuple(block.ravel().tolist())).encode())
+    """Format rows into a binary file, one _format_block per block of about _FORMAT_CELLS cells."""
+    step = max(1, _FORMAT_CELLS // rows.shape[1])
+    for at in range(0, rows.shape[0], step):
+        fh.write(_format_block(rows[at:at + step]))
+
+
+def _halves(v: np.ndarray):
+    """Veltkamp's split of v into hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """a * 10**k exactly, as p + err with p the rounded product (Dekker's product)."""
+    b = np.take(_tables()[0], k)
+    p, (ah, al), (bh, bl) = a * b, _halves(a), _halves(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@functools.cache
+def _tables():
+    """10**k (k <= 22: exact), 4 ASCII digits and trailing zeros of c < 10**4, keep-n masks."""
+    ascii4 = 48 + np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T)
+    zeros4 = np.argmin(np.c_[ascii4[:, ::-1] == 48, np.zeros(10000, bool)], axis=1).astype("i1")
+    keep = np.pad(255 * np.tri(18, 17, -1, "u1"), [(0, 0), (3, 0)]).view("u4")
+    return np.array([float(10 ** k) for k in range(23)]), ascii4.view("u4"), zeros4, keep
+
+
+def _digits(a: np.ndarray):
+    """(e, words) for 1e-4 <= a < 1e16: a's decimal exponent, and per row 3 pad bytes and the
+    ASCII of D = a * 10**(16 - e) rounded half to even, p + rint(err) as the exact product
+    p + err has p even (>= 10**16 > 2**53). Trailing zeros after the integer digits are NUL."""
+    e = np.floor(np.log10(a)).astype(np.int32)  # one off near a power of ten
+    p, err = _scaled(a, 16 - e)
+    low, high = (p < 1e16) | ((p == 1e16) & (err < 0)), (p > 1e17) | ((p == 1e17) & (err >= 0))
+    if (off := np.flatnonzero(low | high)).size:  # p + err outside [10**16, 10**17), exactly
+        e[off] += 2 * high[off] - 1
+        p[off], err[off] = _scaled(a[off], 16 - e[off])
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)  # D: no double rounds up to 10**17
+    (lead, c3), (c2, c4) = np.divmod(np.array(np.divmod(d, 10 ** 8), np.int32), 10 ** 4)
+    d0, c1 = np.divmod(lead, 10 ** 4)
+    _, ascii4, zeros4, keep = _tables()
+    zeros = np.zeros(a.size, np.int8)
+    for c in (c1, c2, c3, c4):
+        zeros = np.where(c == 0, zeros + 4, np.take(zeros4, c))
+    words = np.hstack([np.take(ascii4, c, axis=0) for c in (d0, c1, c2, c3, c4)])
+    return e, words & np.take(keep, np.maximum(17 - zeros, e + 1), axis=0)  # + integer digits
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV text of `block`'s rows, each cell as `%.17g` writes it: from _digits in fixed
+    notation where 1e-4 <= |x| < 1e16, else first as 1; a zero then gets its `0`, the rest one
+    `%` per block. A cell fills a 26-byte slot (sign, text, separator); NUL pads are deleted."""
+    x = block.ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    e, words = _digits(np.where(fixed, a, 1.0))
+    order = np.argsort(e.astype(np.int8), kind="stable")  # radix sort: one run of cells per e
+    digits = np.take(words, order, axis=0).view(np.uint8)[:, 3:]
+    slots = np.zeros((x.size, 26), np.uint8)
+    stop = 0
+    for v, n in enumerate(np.bincount(e + 4, minlength=20), -4):
+        start, stop = stop, stop + n
+        g, s = digits[start:stop], slots[start:stop]
+        if v >= 0:  # v + 1 integer digits, a point if a digit follows it
+            s[:, 1:v + 2] = g[:, :v + 1]
+            s[:, v + 3:19] = g[:, v + 1:]
+            s[:, v + 2] = (s[:, v + 3] > 0) * np.uint8(46)
+        else:  # "0.", -v - 1 zeros, the digits
+            s[:, 1], s[:, 2], s[:, 3:2 - v], s[:, 2 - v:19 - v] = 48, 46, 48, g
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    cells = np.take(slots, inverse, axis=0)
+    del digits, slots  # freed before the text is copied out
+    cells[:, 0] = np.signbit(x) * np.uint8(45)
+    cells[x == 0, 1] = 48
+    rest = np.flatnonzero(~fixed & (x != 0))
+    text = ("%-24.17g" * rest.size) % tuple(x[rest].tolist())
+    cells[rest, :24] = np.frombuffer(text.replace(" ", "\0").encode(), np.uint8).reshape(-1, 24)
+    out = cells.reshape(block.shape + (26,))
+    out[:, :-1, 24], out[:, -1, 24:] = 44, (13, 10)
+    return out.tobytes().translate(None, b"\0")
 
 
 def _write_spill(rows: np.ndarray, spill):

@@ -509,6 +509,18 @@ class TestEval:
         assert "2 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_feature_count_mismatch_names_both_files(self, tmp_path, capsys):
+        model, data_path = tmp_path / "model.json", tmp_path / "two.csv"
+        cli.save_model(ndcore.init_network([3, 4, 2], head="elu_evidence", seed=0), model)
+        save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data_path)
+        out = tmp_path / "e"
+        assert run_cli("eval", "--model", str(model), "--data", str(data_path),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"model {model} expects 3 features and 2 classes" in err, err
+        assert f"dataset {data_path} has 2 and 2" in err, err
+        assert not out.exists()
+
     def test_missing_data_exit_1(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         cli.save_model(ndcore.init_network([2, 4, 2], head="elu_evidence", seed=0), model)

@@ -1,6 +1,7 @@
 """Dataset generation, CSV round-trips and stratified splits."""
 
 import csv
+import io
 import os
 import tempfile
 import time
@@ -242,6 +243,10 @@ def reference_save_csv(dataset, path):
                             + [format(v, ".17g") for v in yrow])
 
 
+RANGED_ROWS = 2 * data._CSV_BLOCK_ROWS + 7
+RANGE_CASES = [1, 2, 3]
+
+
 HOSTILE = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1 + 0.2, 1 / 3, -2.5e-7, 1e16]
 
 
@@ -260,6 +265,10 @@ def _hostile_datasets():
             soft,
         ),
         "exactly_one_block": gen_blobs(block, 3, 2, 2.0, soft=True, seed=5),
+        # enough rows for 3 forced ranges; exponent notation in the features or labels
+        "blobs_sep_1e300": gen_blobs(RANGED_ROWS, 3, 2, 1e300, seed=6),
+        "ring_radius_1e-30": gen_ood_ring(RANGED_ROWS, 3, 1e-30, seed=7),
+        "soft_k3_sep6": gen_blobs(RANGED_ROWS, 3, 3, 6.0, soft=True, seed=8),
     }
 
 
@@ -281,6 +290,56 @@ class TestCsvFormat:
         back = load_csv(tmp_path / "d.csv")
         assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
         assert np.array_equal(back.labels.view(np.int64), ds.labels.view(np.int64))
+
+
+def _float(sign, exponent, mantissa):
+    return float(np.array((sign << 63) | (exponent << 52) | mantissa, np.uint64).view(np.float64))
+
+
+def _near_power_of_ten(k, steps):
+    v = float(f"1e{k}")
+    for _ in range(abs(steps)):
+        v = float(np.nextafter(v, np.inf if steps > 0 else 0.0))
+    return v
+
+
+def _tie(j, i, sign):
+    """sign * q * 2**-(j + 1) with q odd and q * 5**j in [2e16, 2e17): times 10**j it is
+    D + 1/2 for a 17-digit D, an exact tie at the 18th significant digit."""
+    lo, hi = -(-2 * 10 ** 16 // 5 ** j), min(2 * 10 ** 17 // 5 ** j, 1 << 53)
+    return sign * ((lo + i % (hi - lo)) | 1) * 2.0 ** -(j + 1)
+
+
+# Float64 cells the CSV writer must print as format(v, ".17g") does.
+KERNEL_CELLS = st.one_of(
+    st.builds(_float, st.integers(0, 1), st.integers(0, 2047), st.integers(0, (1 << 52) - 1)),
+    # exponents of the fixed-notation range 1e-4 <= |v| < 1e16, and just beyond it
+    st.builds(_float, st.integers(0, 1), st.integers(1005, 1080), st.integers(0, (1 << 52) - 1)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.builds(_float, st.integers(0, 1), st.just(0), st.integers(1, (1 << 52) - 1)),  # subnormal
+    st.builds(_near_power_of_ten, st.integers(-6, 18), st.integers(-2, 2)),
+    st.builds(_tie, st.integers(1, 22), st.integers(0, 1 << 60), st.sampled_from([1, -1])),
+    st.builds(lambda base, step, sign: sign * float(base + step),
+              st.sampled_from([1 << 53, 10 ** 16, 10 ** 17]), st.integers(-40, 40),
+              st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(KERNEL_CELLS, min_size=cols, max_size=cols),
+                          min_size=1, max_size=30)))
+def test_writer_prints_every_cell_as_format_17g(rows):
+    """Blocks of 24 cells put block ends inside most tables drawn."""
+    out = io.BytesIO()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_FORMAT_CELLS", 24)
+        data._write_rows(out, np.array(rows, dtype=np.float64))
+    lines = out.getvalue().split(b"\r\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert line == ",".join(format(v, ".17g") for v in row).encode(), row
 
 
 class TestCsvContract:
@@ -390,10 +449,6 @@ class TestCsvContract:
         assert data._line_ends(path, 4, len(body) + 4) == ended
 
 
-RANGED_ROWS = 2 * data._CSV_BLOCK_ROWS + 7
-RANGE_CASES = [1, 2, 3]
-
-
 def _ranged_dataset():
     rng = np.random.default_rng(17)
     return Dataset(rng.standard_normal((RANGED_ROWS, 3)),
@@ -466,6 +521,18 @@ class TestCsvRanges:
         for got, want in ((back.features, one.features), (back.labels, one.labels),
                           (one.features, RANGED_DATASET.features)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _assert_clean(tmp_path, ["new.csv", "ref.csv"])
+
+    @pytest.mark.parametrize("ranges", RANGE_CASES)
+    @pytest.mark.parametrize("name", list(HOSTILE_DATASETS))
+    def test_hostile_bytes_match_reference_writer(self, tmp_path, monkeypatch, ranges, name):
+        ds = HOSTILE_DATASETS[name]
+        forks = _force_ranges(monkeypatch, ranges)
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if ds.n >= RANGED_ROWS:
+            assert len(forks) == ranges - 1
         _assert_clean(tmp_path, ["new.csv", "ref.csv"])
 
     @pytest.mark.parametrize("ranges", RANGE_CASES)

@@ -1,7 +1,9 @@
 """Optimizers and the two-stage training orchestration."""
 
 import copy
+import csv
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -564,3 +566,35 @@ def test_label_rows_checked_once_per_stage(monkeypatch):
     assert {"evidential.data", "evidential.losses"} <= set(patched)
     assert pair[0].n > 2 * plan.batch_size
     assert calls == [pair[0].n, pair[0].n]
+
+
+# Evidence collapse as it stands, pinned before anything detects or guards
+# it: a large stage-2 step drives one class's ELU evidence to the clamp at -1
+# while another's grows, so no row counts as dead and the run exits 0.
+ALPHA_AT_CLAMP = (-1.0 + 1e-15) + 1.0
+
+
+@pytest.mark.parametrize("lr_stage2, lam, auc, min_alpha", [
+    (3.0, 1.0, 0.416, ALPHA_AT_CLAMP),
+    (10.0, 0.1, 0.504, ALPHA_AT_CLAMP),
+    (1.0, 1.0, 0.806, 0.605),  # the control: no collapse
+], ids=["lr3_lambda1", "lr10_lambda0.1", "control_lr1"])
+def test_evidence_collapse_is_reproduced(tmp_path, lr_stage2, lam, auc, min_alpha):
+    blobs = {"kind": "blobs", "n": 4000, "d": 10, "k": 2, "sep": 2.0, "noise": 0.1, "seed": 0}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "tedl", "stage1_epochs": 3, "stage2_epochs": 5, "seed": 0,
+        "hidden_sizes": [8], "hidden_activation": "relu", "optimizer": "sgd",
+        "lr_stage1": 0.2, "lr_stage2": lr_stage2, "lambda": lam, "dataset": blobs,
+        "out_dir": str(tmp_path / "run")}))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    last = list(csv.DictReader((tmp_path / "run" / "epochs.csv").read_text().splitlines()))[-1]
+    net = cli.load_model(tmp_path / "run" / "model.json")
+    _, val = split(gen_blobs(4000, 10, 2, 2.0, label_noise=0.1, seed=0), SplitSpec(seed=0))
+    alpha = losses.evidence_to_alpha(ndcore.forward(net, val.features), net.head).alpha
+    assert float(last["val_auc"]) == pytest.approx(auc, abs=5e-4)
+    if min_alpha == ALPHA_AT_CLAMP:
+        assert alpha.min() == ALPHA_AT_CLAMP
+        assert float(last["dead_evidence_frac"]) == 0.0
+    else:
+        assert alpha.min() == pytest.approx(min_alpha, abs=5e-4)
