@@ -8,6 +8,7 @@ import functools
 import io
 import os
 import pickle
+import re
 import shutil
 import signal
 import tempfile
@@ -19,10 +20,20 @@ import numpy as np
 from .ndcore import softmax
 
 _CSV_BLOCK_ROWS = 4096  # fewest rows per forked range
-_FORMAT_CELLS = 1 << 15  # cells per formatted block, which bound its temporaries
+_FORMAT_CELLS = 1 << 15  # cells per formatted or parsed block, which bound its temporaries
 # The bulk parse reads no quotes, so a quoted cell cannot carry a row over a
 # line end; a range with one is parsed again by _parse_lines, which reads them.
 _CSV_PARSE = dict(delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+# %.17g's exponent form, the one cell form besides -?digits[.digits] the decimal kernel reads
+_EXPONENT_CELL = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+")
+# The decimal kernel's tables, made at import: made inside a parse, they stay among its freed
+# temporaries and split the heap (gen_eval's peak RSS rose by about 1.4 MB). Masks as (25, 3)
+# words of a 24-byte window, row n keeping its last n bytes and row j + 1 the bytes before
+# byte j; 10**k (exact) and 5**k for k <= 22.
+_KEEP, _BEFORE = ((rows * np.uint8(255)).astype(np.uint8).view(np.uint64) for rows in (
+    np.arange(24) >= 24 - np.arange(25)[:, None], np.arange(24) < np.arange(-1, 24)[:, None]))
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_FIVES = np.array([5 ** k for k in range(23)], np.uint64)
 
 
 def check_label_rows(labels: np.ndarray) -> None:
@@ -220,7 +231,7 @@ def _tables():
     ascii4 = 48 + np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T)
     zeros4 = np.argmin(np.c_[ascii4[:, ::-1] == 48, np.zeros(10000, bool)], axis=1).astype("i1")
     keep = np.pad(255 * np.tri(18, 17, -1, "u1"), [(0, 0), (3, 0)]).view("u4")
-    return np.array([float(10 ** k) for k in range(23)]), ascii4.view("u4"), zeros4, keep
+    return _POW10, ascii4.view("u4"), zeros4, keep
 
 
 def _digits(a: np.ndarray):
@@ -246,15 +257,17 @@ def _digits(a: np.ndarray):
 
 def _format_block(block: np.ndarray) -> bytes:
     """The CSV text of `block`'s rows, each cell as `%.17g` writes it: from _digits in fixed
-    notation where 1e-4 <= |x| < 1e16, else first as 1; a zero then gets its `0`, the rest one
-    `%` per block. A cell fills a 26-byte slot (sign, text, separator); NUL pads are deleted."""
+    notation where 1e-4 <= |x| < 1e16, laid out in e order and scattered back to their cells;
+    a zero gets its `0`, every other cell one `%` per block. A cell fills a 26-byte slot (sign,
+    text, separator); NUL pads are deleted."""
     x = block.ravel()
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)
-    e, words = _digits(np.where(fixed, a, 1.0))
+    at = np.flatnonzero(fixed)
+    e, words = _digits(a[at])
     order = np.argsort(e.astype(np.int8), kind="stable")  # radix sort: one run of cells per e
     digits = np.take(words, order, axis=0).view(np.uint8)[:, 3:]
-    slots = np.zeros((x.size, 26), np.uint8)
+    slots = np.zeros((at.size, 26), np.uint8)
     stop = 0
     for v, n in enumerate(np.bincount(e + 4, minlength=20), -4):
         start, stop = stop, stop + n
@@ -265,9 +278,8 @@ def _format_block(block: np.ndarray) -> bytes:
             s[:, v + 2] = (s[:, v + 3] > 0) * np.uint8(46)
         else:  # "0.", -v - 1 zeros, the digits
             s[:, 1], s[:, 2], s[:, 3:2 - v], s[:, 2 - v:19 - v] = 48, 46, 48, g
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    cells = np.take(slots, inverse, axis=0)
+    cells = np.zeros((x.size, 26), np.uint8)
+    cells[at[order]] = slots
     del digits, slots  # freed before the text is copied out
     cells[:, 0] = np.signbit(x) * np.uint8(45)
     cells[x == 0, 1] = 48
@@ -291,10 +303,15 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv; errors name the file and the 1-based line.
 
     The body is cut at line ends into ranges (see _row_bounds), parsed in
-    forked children and gathered in order. A range the bulk parse rejects
-    is parsed again a line at a time, and the first bad line of the first
-    such range is named, numbered from the bytes before its cut, so rows
-    and messages do not depend on the cuts.
+    forked children and gathered in order. A numpy decimal kernel reads a
+    range whose lines end in \\n or \\r\\n and hold d + K cells, each
+    `-?digits[.digits]` of at most 24 bytes with fewer than 19 significant
+    digits, or in `%.17g`'s exponent form (read by float()): every cell
+    save_csv writes. Any other range goes whole to one np.loadtxt call, and
+    the kernel reads exactly the doubles np.loadtxt reads. A range that
+    call rejects is parsed again a line at a time, and the first bad line
+    of the first such range is named, numbered from the bytes before its
+    cut, so rows and messages do not depend on the cuts.
     """
     with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         line = fh.readline()
@@ -358,11 +375,17 @@ def _body_cuts(path, start: int) -> list:
 
 
 def _parse_rows(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
-    """The rows in bytes [start, stop): one bulk parse if it accepts them
-    all, else _parse_lines's."""
+    """The rows in bytes [start, stop): the decimal kernel's if it reads every
+    cell, else one bulk parse's if that accepts them all, else _parse_lines's.
+    The kernel reads exactly the values the bulk parse reads, so rows that
+    fail the checks go straight to _parse_lines."""
     try:
-        with open(path, "rb") as raw, _text_range(raw, start, stop) as fh:
-            return _bulk_rows(fh, d, k)
+        with open(path, "rb") as raw:
+            table = _read_decimal(raw, start, stop, d + k)
+            if table is not None:
+                return _checked_rows(table, d, k)
+            with _text_range(raw, start, stop) as fh:
+                return _bulk_rows(fh, d, k)
     except ValueError:
         pass
     return _parse_lines(path, start, stop, d, k)
@@ -370,17 +393,177 @@ def _parse_rows(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
 
 def _bulk_rows(source, d: int, k: int) -> np.ndarray:
     """The rows of one np.loadtxt call over `source` (a text file or a list of
-    lines); ValueError unless each has d + k cells, finite features and a
-    label row summing to 1."""
+    lines), as _checked_rows passes them."""
     with warnings.catch_warnings():  # a run of blank lines has no rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         table = np.loadtxt(source, **_CSV_PARSE)
+    return _checked_rows(table, d, k)
+
+
+def _checked_rows(table: np.ndarray, d: int, k: int) -> np.ndarray:
+    """`table`; ValueError unless each row has d + k cells, finite features and
+    a label row summing to 1. A table of no rows passes as (0, d + k)."""
     if table.shape[0] == 0:
         return np.empty((0, d + k))
     if table.shape[1] != d + k or not np.isfinite(table[:, :d]).all():
         raise ValueError
     check_label_rows(table[:, d:])
     return table
+
+
+def _read_decimal(raw, start: int, stop: int, w: int) -> np.ndarray | None:
+    """The rows of w cells in bytes [start, stop) of the binary file `raw`, as
+    _decimal_block reads them, or None once a block declines.
+
+    The range is read in blocks of whole lines, about _FORMAT_CELLS cells
+    each, into one buffer kept for the range: 24 pad bytes, so that every
+    cell's 24-byte window lies inside it, then the block. The bytes of a
+    line cut by the buffer's end move to its front for the next block. A
+    last line without a line end gets one; one line longer than the buffer
+    declines, as no row of w cells of at most 24 bytes is that long.
+    """
+    cap = max(16 * _FORMAT_CELLS, 25 * w + 1)
+    buf = bytearray(24 + cap + 1)
+    view = memoryview(buf)
+    table, rows, done, held, left = np.empty((0, w)), 0, 0, 0, stop - start
+    raw.seek(start)
+    while held or left:
+        got = raw.readinto(view[24 + held:24 + held + min(cap - held, left)])
+        left = left - got if got else 0
+        size = held + got
+        end = buf.rfind(b"\n", 24, 24 + size) - 23
+        if not left and end < size:
+            buf[24 + size] = 10
+            size = end = size + 1
+        block = _decimal_block(buf, end, w) if end > 0 else None
+        if block is None:
+            return None
+        need, done = rows + block.shape[0], done + end
+        if need > table.shape[0]:  # room for the range at the rows per byte so far, 1/16 more
+            grown = np.empty((max(need, need * (stop - start) * 17 // (16 * done)), w))
+            grown[:rows] = table[:rows]
+            table = grown
+        table[rows:need], rows = block, need
+        held = size - end
+        buf[24:24 + held] = buf[24 + end:24 + size]
+    table.resize((rows, w), refcheck=False)  # in place; no view of it exists
+    return table
+
+
+def _decimal_block(buf: bytearray, size: int, w: int) -> np.ndarray | None:
+    """The (rows, w) values of the whole lines in buf[24:24 + size], each
+    value exactly the double np.loadtxt reads, or None unless
+    every line is w cells, each `-?digits[.digits]` with digits on both sides
+    of the point, at most 24 bytes and a significand m below 10**18, or in
+    %.17g's exponent form, which float() reads as np.loadtxt does. Lines end
+    at \\n or \\r\\n.
+
+    Every byte must be a digit, one of `+,-./` but `/`, an `e`, a line end or
+    a \\r before one; a `-` after a cell's first byte or a `+` must sit in an
+    exponent cell. A cell's window is its last 24 bytes as three
+    little-endian words. Its highest point is found from the window's `.`
+    bytes, and the bytes before it move up one, over the point; the digits
+    left, masked to the cell, give m by SWAR multiplies (eight digits a
+    word), and the point's place gives the power of ten k. y = m / 10**k is
+    correctly rounded where m <= 2**53. Else y = RN(RN(m) / 10**k) lies less
+    than 1.5 units in the last place from m / 10**k, as 10**k is no power of
+    two for k >= 1, so one _ulps_off step makes it the nearest double.
+    """
+    b = np.frombuffer(buf, np.uint8)
+    data = b[24:24 + size]
+    ends = np.flatnonzero((data == 44) | (data == 10)) + 24  # a cell ends at its separator
+    rows = ends.size // w
+    lines = ends[w - 1::w]
+    if ends.size != rows * w or not (b[lines] == 10).all() or np.count_nonzero(data == 10) != rows:
+        return None
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 24, ends[:-1] + 1
+    cr = b[lines - 1] == 13
+    n_cr, n_exp = np.count_nonzero(cr), np.count_nonzero(data == 101)
+    n_ascii = np.count_nonzero(np.subtract(data, np.uint8(43)) < np.uint8(15))  # +,-./0-9
+    if n_ascii - np.count_nonzero(data == 47) + rows + n_cr + n_exp != size:
+        return None
+    lines -= cr  # or at the \r before its line end
+    length = ends - starts
+    if length.min() < 1 or length.max() > 24:
+        return None
+    neg = b[starts] == 45
+    n_minus = np.count_nonzero(data == 45) - np.count_nonzero(neg)
+    n_plus = np.count_nonzero(data == 43)
+    window = np.ndarray((b.size - 23,), "V24", b, 0, (1,))  # window i: bytes i..i+23
+    words = window[ends - 24].view(np.uint64).reshape(-1, 3)
+    dots = (words.view(np.uint8) == 46).view(np.uint64)  # 1 in each `.` byte
+    mask = (dots * np.uint64(0x0102040810204080)) >> np.uint64(56)  # its 8 bytes as 8 bits
+    bits = (mask[:, 0] | (mask[:, 1] << np.uint64(8)) | (mask[:, 2] << np.uint64(16))).view(np.int64)
+    bits &= (1 << 24) - (1 << (24 - length))  # the cell's own bytes
+    point = np.maximum((bits.astype(np.float64).view(np.int64) >> 52) - 1023, -1)  # -1: none
+    has_point = point >= 0
+    n_digits = length - neg - has_point
+    lead = words & np.take(_BEFORE, point + 1, axis=0)
+    words ^= lead  # the point and the bytes after it
+    words ^= dots * np.uint64(0x2E)  # the point's byte becomes 0
+    flat = words.view(np.uint8).reshape(-1)
+    flat[1:] |= lead.view(np.uint8).reshape(-1)[:-1]  # up one byte; a window's last lead byte is 0
+    words &= np.take(_KEEP, n_digits, axis=0)
+    value = _swar_digits(words)
+    del mask, dots, lead, flat, words  # the block's largest temporaries, freed before the division
+    good = (((bits & (bits - 1)) == 0) & (n_digits >= 1) & (value[:, 0] < 100)
+            & (~has_point | ((point < 23) & (point > 24 - length + neg))))
+    m = (value[:, 0] * np.uint64(10 ** 16) + value[:, 1] * np.uint64(10 ** 8)
+         + value[:, 2]).view(np.int64)
+    del value
+    k = np.where(has_point & good, 23 - point, 0)
+    y = m.astype(np.float64) / np.take(_POW10, k)
+    y.view(np.int64)[:] += _ulps_off(m, k, y) * (good & (m > 1 << 53))
+    y.view(np.uint64)[:] |= neg.astype(np.uint64) << np.uint64(63)
+    if n_exp:
+        at, found = 24, []
+        while (at := buf.find(b"e", at, 24 + size) + 1) > 0:
+            found.append(at - 1)
+        for i in np.unique(np.searchsorted(ends, found, side="right")).tolist():
+            cell = buf[starts[i]:ends[i]]
+            if not _EXPONENT_CELL.fullmatch(cell):
+                return None
+            y[i], good[i] = float(cell), True
+            n_minus -= cell.count(b"-", 1)
+            n_plus -= cell.count(b"+")
+    if n_minus or n_plus or not good.all():
+        return None
+    return y.reshape(rows, w)
+
+
+def _swar_digits(words: np.ndarray) -> np.ndarray:
+    """The value of each word's 8 ASCII digits, the first in its low byte (a 0
+    byte reads as 0): pairs, then fours, then eights, by multiplies (Lemire)."""
+    words = words & np.uint64(0x0F0F0F0F0F0F0F0F)
+    words = words * np.uint64(10) + (words >> np.uint64(8))
+    fours = np.uint64(0x000000FF000000FF)
+    return ((words & fours) * np.uint64(100 + (1000000 << 32))
+            + ((words >> np.uint64(16)) & fours) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+
+
+def _ulps_off(m: np.ndarray, k: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """+1 where m / 10**k (0 < m < 2**63) rounds to nearest, ties to even, above
+    the double y > 0 next to it, -1 below, else 0 (int8).
+
+    With y = Y * 2**(t - k) (Y the 53-bit significand), the residual is
+    r = m - y * 10**k = m - Y * 5**k * 2**t. Scaled by 4 * 2**max(-t, 0) it is
+    the integer x, and half the gap to the next double up is 5**k *
+    2**(1 + max(t, 0)) (half that below a power of two). |x| < 2**63 near y,
+    so x is exact though its terms wrap mod 2**64 (Clinger's exact test).
+    """
+    bits = y.view(np.int64)
+    t = (bits >> 52) + (k - 1075)
+    sig = (bits & ((1 << 52) - 1)) | (1 << 52)
+    five = np.take(_FIVES, k)
+    up = np.maximum(t, 0)
+    x = ((m.view(np.uint64) << (up - t + 2).view(np.uint64))
+         - ((sig.view(np.uint64) * five) << (up + 2).view(np.uint64))).view(np.int64)
+    half = (five << (up + 1).view(np.uint64)).view(np.int64)
+    below = half >> (sig == 1 << 52)
+    odd = (sig & 1).astype(bool)
+    return (((x > half) | ((x == half) & odd)).view(np.int8)
+            - ((x < -below) | ((x == -below) & odd)).view(np.int8))
 
 
 class _BadLine(Exception):

@@ -2,10 +2,13 @@
 
 import csv
 import io
+import math
 import os
+import re
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +294,31 @@ class TestCsvFormat:
         assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
         assert np.array_equal(back.labels.view(np.int64), ds.labels.view(np.int64))
 
+    @pytest.mark.parametrize("name", list(HOSTILE_DATASETS))
+    def test_decimal_kernel_reads_what_save_csv_writes(self, tmp_path, name):
+        ds = HOSTILE_DATASETS[name]
+        save_csv(ds, tmp_path / "d.csv")
+        text = (tmp_path / "d.csv").read_bytes()
+        start = text.index(b"\n") + 1
+        table = data._read_decimal(io.BytesIO(text), start, len(text), ds.dim + ds.class_count)
+        assert table is not None
+        want = np.hstack([ds.features, ds.labels])
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+    def test_exponent_heavy_table_bytes_match_reference_writer(self, tmp_path):
+        # 31% of cells in exponent notation: only the others go through _digits
+        ds = gen_blobs(20000, 3, 3, 6.0, soft=True, seed=8)
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_block_without_fixed_notation_cells(self):
+        rows = np.array([[0.0, -0.0, 1e300, -5e-324], [1e16, -2.5e-7, 0.0, np.inf]])
+        out = io.BytesIO()
+        data._write_rows(out, rows)
+        assert out.getvalue() == b"".join(
+            (",".join(format(v, ".17g") for v in row) + "\r\n").encode() for row in rows)
+
 
 def _float(sign, exponent, mantissa):
     return float(np.array((sign << 63) | (exponent << 52) | mantissa, np.uint64).view(np.float64))
@@ -340,6 +368,106 @@ def test_writer_prints_every_cell_as_format_17g(rows):
     assert len(lines) == len(rows)
     for line, row in zip(lines, rows):
         assert line == ",".join(format(v, ".17g") for v in row).encode(), row
+
+
+def _kernel_reads(cell: bytes) -> bool:
+    """Whether the decimal kernel must read `cell` itself: at most 24 bytes of
+    `-?digits[.digits]` with a significand below 10**18, or of %.17g's
+    exponent form."""
+    fixed = re.fullmatch(rb"-?([0-9]+)(?:\.([0-9]+))?", cell)
+    if fixed:
+        return len(cell) <= 24 and int(fixed[1] + (fixed[2] or b"")) < 10 ** 18
+    return len(cell) <= 24 and re.fullmatch(rb"-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+", cell) is not None
+
+
+def _kernel_values(cells, ended=True):
+    """The decimal kernel's values of `cells`, two a line, lines ending in \\n
+    and \\r\\n by turns and the last one maybe in none; None if it declines.
+    Blocks hold one line or two, so most lines cross a block end."""
+    n = len(cells)
+    cells = list(cells) + [b"0"] * (n % 2)
+    body = b"".join(b",".join(cells[i:i + 2]) + (b"\r\n" if i % 4 else b"\n")
+                    for i in range(0, len(cells), 2))
+    if not ended:
+        body = body.rstrip(b"\r\n")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_FORMAT_CELLS", 1)
+        table = data._read_decimal(io.BytesIO(body), 0, len(body), 2)
+    return None if table is None else table.ravel()[:n]
+
+
+def _digit_cell(neg, digits, zeros, point):
+    """`-`? then `zeros` leading zeros and `digits`, the last `point` digits
+    after a point (0: no point), a 0 before the point if nothing else is."""
+    text = ("0" * zeros + digits).rjust(point + 1, "0")
+    if point:
+        text = text[:-point] + "." + text[-point:]
+    return ("-" * neg + text).encode()
+
+
+def _fixed_cell(n: int, places: int) -> bytes:
+    """n * 10**-places in fixed notation, exactly."""
+    text = str(n).rjust(places + 1, "0")
+    return (text[:-places] + "." + text[-places:] if places else text).encode()
+
+
+def _tie_cell(q, s):
+    """(2q + 1) * 2**s for 2**52 <= q < 2**53: halfway between two adjacent
+    doubles, written exactly (s < 0 gives -s fraction digits)."""
+    return _fixed_cell((2 * q + 1) << s, 0) if s >= 0 else _fixed_cell((2 * q + 1) * 5 ** -s, -s)
+
+
+def _near_tie_cell(v, digits, above):
+    """The midpoint of v > 0 and the next double up, cut to `digits`
+    significant digits just below or just above it."""
+    mid = (Fraction(v) + Fraction(float(np.nextafter(v, np.inf)))) / 2
+    e = math.floor(math.log10(mid))
+    e += (mid >= Fraction(10) ** (e + 1)) - (mid < Fraction(10) ** e)
+    places = digits - 1 - e
+    scaled = mid * Fraction(10) ** places
+    return _fixed_cell(math.ceil(scaled) if above else math.floor(scaled), places)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Cells for the decimal kernel: the writer's and repr's forms of any double;
+# 1-18 digits with leading zeros and 0-22 after a point; exact ties; odd
+# integers past 2**53, halfway or a quarter from a double, or past 10**18;
+# midpoints of two doubles, some just below a power of two, cut to 17-19
+# digits.
+DECIMAL_CELLS = st.one_of(
+    FINITE.map(lambda v: format(v, ".17g").encode()),
+    FINITE.map(lambda v: repr(v).encode()),
+    st.builds(_digit_cell, st.booleans(), st.text("0123456789", min_size=1, max_size=18),
+              st.integers(0, 4), st.integers(0, 22)),
+    st.sampled_from([b"0", b"-0", b"9007199254740993", b"0.1", b"1"]),
+    st.builds(_tie_cell, st.integers(1 << 52, (1 << 53) - 1), st.integers(-2, 6)),
+    st.integers(1 << 52, (1 << 62) - 1).map(lambda q: str(2 * q + 1).encode()),
+    st.builds(_near_tie_cell, st.one_of(
+        st.floats(1e-4, 1e16, exclude_max=True),
+        st.integers(-13, 53).map(lambda e: float(np.nextafter(2.0 ** e, 0)))),  # below 2**e
+        st.sampled_from([17, 18, 19]), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(DECIMAL_CELLS, min_size=1, max_size=12), st.booleans())
+def test_decimal_kernel_reads_each_cell_as_float_does(cells, ended):
+    read = [cell for cell in cells if _kernel_reads(cell)]
+    got = _kernel_values(read, ended)
+    assert got is not None, read
+    want = np.array([float(cell) for cell in read])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), read
+    if len(read) < len(cells):
+        assert _kernel_values(cells, ended) is None
+
+
+@pytest.mark.parametrize("cell", [
+    b"+1", b"1.", b".5", b"1_0", b" 1", b"nan", b"0x1p3",
+    b"1e5", b"1E+05", b"12345678901234567890", b"-", b"1.2.3", b"1-2", b"1e+5.5", b"1\r2", b"\r1", b"1/2",
+])
+def test_decimal_kernel_declines_the_range(cell):
+    assert _kernel_values([b"1.5", b"-2"]) is not None
+    assert _kernel_values([b"1.5", cell, b"-2"]) is None
 
 
 class TestCsvContract:
@@ -764,7 +892,10 @@ def _fuzz_base(crlf: bool) -> bytes:
 
 
 FUZZ_TOKENS = [b",", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\x00", b"nan", b"inf", b"-inf",
-               b"1e400", b'"', b'"1', b'1"']
+               b"1e400", b'"', b'"1', b'1"',
+               # at the decimal kernel's edges: cells it reads and cells that decline a range
+               b"9.7299545064253624e-05", b"1e+16", b"12345678901234567890", b"-0", b"+1", b"1.",
+               b".5"]
 # Where a mutation lands: anywhere, or near where 2 or 3 ranges cut the body.
 FUZZ_POSITION = st.one_of(st.integers(0, 1 << 16), st.tuples(
     st.sampled_from([1 / 3, 1 / 2, 2 / 3]), st.integers(-8, 32)))
@@ -814,6 +945,18 @@ def test_mutated_csv_loads_the_same_or_names_the_same_line_at_any_range_count(mu
         assert outcomes[1] == outcomes[0]
         assert outcomes[2] == outcomes[0]
         _assert_clean(Path(tmp), ["d.csv"])
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(st.lists(FUZZ_MUTATION, min_size=1, max_size=3), st.booleans())
+def test_mutated_csv_loads_as_the_bulk_parse_alone_reads_it(mutations, crlf):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(_mutate(_fuzz_base(crlf), mutations))
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with_kernel = _load_outcome(path)
+        m.setattr(data, "_read_decimal", lambda raw, start, stop, w: None)
+        assert _load_outcome(path) == with_kernel
 
 
 class TestSplit:
