@@ -22,18 +22,24 @@ from .ndcore import softmax
 _CSV_BLOCK_ROWS = 4096  # fewest rows per forked range
 _FORMAT_CELLS = 1 << 15  # cells per formatted or parsed block, which bound its temporaries
 # The bulk parse reads no quotes, so a quoted cell cannot carry a row over a
-# line end; a range with one is parsed again by _parse_lines, which reads them.
+# line end; a block of lines with one is parsed again a line at a time, which reads them.
 _CSV_PARSE = dict(delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 # %.17g's exponent form, the one cell form besides -?digits[.digits] the decimal kernel reads
 _EXPONENT_CELL = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+")
-# The decimal kernel's tables, made at import: made inside a parse, they stay among its freed
-# temporaries and split the heap (gen_eval's peak RSS rose by about 1.4 MB). Masks as (25, 3)
-# words of a 24-byte window, row n keeping its last n bytes and row j + 1 the bytes before
-# byte j; 10**k (exact) and 5**k for k <= 22.
+# The decimal kernels' tables, made at import: made inside a parse, they stay among its freed
+# temporaries and split the heap (gen_eval's peak RSS rose by about 1.4 MB). Parsing: masks as
+# (25, 3) words of a 24-byte window, row n keeping its last n bytes and row j + 1 the bytes
+# before byte j; 10**k (exact) and 5**k for k <= 22. Formatting: the 4 ASCII digits of each
+# c < 10**4 as one word, their trailing zeros, and masks as (18, 5) words keeping 3 pad bytes
+# and the first n digits.
 _KEEP, _BEFORE = ((rows * np.uint8(255)).astype(np.uint8).view(np.uint64) for rows in (
     np.arange(24) >= 24 - np.arange(25)[:, None], np.arange(24) < np.arange(-1, 24)[:, None]))
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _FIVES = np.array([5 ** k for k in range(23)], np.uint64)
+_ASCII4 = 48 + np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T)
+_ZEROS4 = np.argmin(np.c_[_ASCII4[:, ::-1] == 48, np.zeros(10000, bool)], axis=1).astype("i1")
+_ASCII4 = _ASCII4.view("u4")
+_LEADING = np.pad(255 * np.tri(18, 17, -1, "u1"), [(0, 0), (3, 0)]).view("u4")
 
 
 def check_label_rows(labels: np.ndarray) -> None:
@@ -168,6 +174,8 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
     labels are the uninformative uniform distribution."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
     if radius <= 0:
@@ -188,7 +196,6 @@ def save_csv(dataset: Dataset, path) -> None:
     depend on the range count and no spill file is ever named beside `path`.
     """
     table = np.hstack([dataset.features, dataset.labels])
-    header = [f"f{i}" for i in range(dataset.dim)] + [f"y{j}" for j in range(dataset.class_count)]
     bounds = _row_bounds(table.shape[0])
     with contextlib.ExitStack() as stack:
         spills = [stack.enter_context(tempfile.TemporaryFile(
@@ -196,12 +203,17 @@ def save_csv(dataset: Dataset, path) -> None:
         jobs = [functools.partial(_write_spill, table[a:b], spill)
                 for a, b, spill in zip(bounds[1:], bounds[2:], spills)]
         with _children(jobs) as pipes, open(path, "wb") as fh:
-            fh.write((",".join(header) + "\r\n").encode())
+            fh.write((",".join(_header(dataset.dim, dataset.class_count)) + "\r\n").encode())
             _write_rows(fh, table[bounds[0]:bounds[1]])
             for pipe, spill in zip(pipes, spills):
                 _receive(pipe)
                 spill.seek(0)
                 shutil.copyfileobj(spill, fh, 1 << 20)
+
+
+def _header(d: int, k: int) -> list:
+    """The column names of a dataset CSV: f0..f{d-1}, then y0..y{k-1}."""
+    return [f"f{i}" for i in range(d)] + [f"y{j}" for j in range(k)]
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
@@ -220,18 +232,9 @@ def _halves(v: np.ndarray):
 
 def _scaled(a: np.ndarray, k: np.ndarray):
     """a * 10**k exactly, as p + err with p the rounded product (Dekker's product)."""
-    b = np.take(_tables()[0], k)
+    b = np.take(_POW10, k)
     p, (ah, al), (bh, bl) = a * b, _halves(a), _halves(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-@functools.cache
-def _tables():
-    """10**k (k <= 22: exact), 4 ASCII digits and trailing zeros of c < 10**4, keep-n masks."""
-    ascii4 = 48 + np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T)
-    zeros4 = np.argmin(np.c_[ascii4[:, ::-1] == 48, np.zeros(10000, bool)], axis=1).astype("i1")
-    keep = np.pad(255 * np.tri(18, 17, -1, "u1"), [(0, 0), (3, 0)]).view("u4")
-    return _POW10, ascii4.view("u4"), zeros4, keep
 
 
 def _digits(a: np.ndarray):
@@ -247,12 +250,11 @@ def _digits(a: np.ndarray):
     d = p.astype(np.int64) + np.rint(err).astype(np.int64)  # D: no double rounds up to 10**17
     (lead, c3), (c2, c4) = np.divmod(np.array(np.divmod(d, 10 ** 8), np.int32), 10 ** 4)
     d0, c1 = np.divmod(lead, 10 ** 4)
-    _, ascii4, zeros4, keep = _tables()
     zeros = np.zeros(a.size, np.int8)
     for c in (c1, c2, c3, c4):
-        zeros = np.where(c == 0, zeros + 4, np.take(zeros4, c))
-    words = np.hstack([np.take(ascii4, c, axis=0) for c in (d0, c1, c2, c3, c4)])
-    return e, words & np.take(keep, np.maximum(17 - zeros, e + 1), axis=0)  # + integer digits
+        zeros = np.where(c == 0, zeros + 4, np.take(_ZEROS4, c))
+    words = np.hstack([np.take(_ASCII4, c, axis=0) for c in (d0, c1, c2, c3, c4)])
+    return e, words & np.take(_LEADING, np.maximum(17 - zeros, e + 1), axis=0)  # + integer digits
 
 
 def _format_block(block: np.ndarray) -> bytes:
@@ -307,11 +309,11 @@ def load_csv(path) -> Dataset:
     range whose lines end in \\n or \\r\\n and hold d + K cells, each
     `-?digits[.digits]` of at most 24 bytes with fewer than 19 significant
     digits, or in `%.17g`'s exponent form (read by float()): every cell
-    save_csv writes. Any other range goes whole to one np.loadtxt call, and
-    the kernel reads exactly the doubles np.loadtxt reads. A range that
-    call rejects is parsed again a line at a time, and the first bad line
-    of the first such range is named, numbered from the bytes before its
-    cut, so rows and messages do not depend on the cuts.
+    save_csv writes. Any other range, or one whose rows fail the checks, goes
+    to _parse_lines, and the kernel reads exactly the doubles np.loadtxt
+    reads. The first bad line of the first range with one is named, numbered
+    from the bytes before its cut, so rows and messages do not depend on the
+    cuts.
     """
     with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         line = fh.readline()
@@ -320,8 +322,7 @@ def load_csv(path) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     d = sum(1 for h in header if h.startswith("f"))
     k = len(header) - d
-    names = [f"f{i}" for i in range(d)] + [f"y{j}" for j in range(k)]
-    if d < 1 or k < 2 or header != names:
+    if d < 1 or k < 2 or header != _header(d, k):
         raise ValueError(f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}")
     table = _load_body(path, len(line.encode("utf-8")), d, k)
     if table.shape[0] == 0:
@@ -376,27 +377,24 @@ def _body_cuts(path, start: int) -> list:
 
 def _parse_rows(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
     """The rows in bytes [start, stop): the decimal kernel's if it reads every
-    cell, else one bulk parse's if that accepts them all, else _parse_lines's.
-    The kernel reads exactly the values the bulk parse reads, so rows that
-    fail the checks go straight to _parse_lines."""
-    try:
-        with open(path, "rb") as raw:
-            table = _read_decimal(raw, start, stop, d + k)
-            if table is not None:
-                return _checked_rows(table, d, k)
-            with _text_range(raw, start, stop) as fh:
-                return _bulk_rows(fh, d, k)
-    except ValueError:
-        pass
+    cell and they pass the checks, else _parse_lines's. The kernel reads
+    exactly the values np.loadtxt reads, so the rows do not depend on which
+    of the two reads them."""
+    with open(path, "rb") as raw:
+        table = _read_decimal(raw, start, stop, d + k)
+    if table is not None:
+        try:
+            return _checked_rows(table, d, k)
+        except ValueError:
+            pass
     return _parse_lines(path, start, stop, d, k)
 
 
-def _bulk_rows(source, d: int, k: int) -> np.ndarray:
-    """The rows of one np.loadtxt call over `source` (a text file or a list of
-    lines), as _checked_rows passes them."""
+def _bulk_rows(lines: list, d: int, k: int) -> np.ndarray:
+    """The rows of one np.loadtxt call over `lines`, as _checked_rows passes them."""
     with warnings.catch_warnings():  # a run of blank lines has no rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(source, **_CSV_PARSE)
+        table = np.loadtxt(lines, **_CSV_PARSE)
     return _checked_rows(table, d, k)
 
 
@@ -572,10 +570,14 @@ class _BadLine(Exception):
 
 def _parse_lines(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
     """The rows in bytes [start, stop) as a parse of one line at a time reads
-    them, cells maybe quoted; blocks of lines the bulk parse accepts are taken
-    whole. _BadLine at the first line this rejects."""
+    them, cells maybe quoted; blocks of lines (16 KiB) the bulk parse accepts
+    are taken whole. The range is read as text whose lines end at `\\r\\n`,
+    `\\r` or `\\n`; a byte that is not UTF-8 reads as a lone surrogate.
+    _BadLine at the first line this rejects."""
     blocks, index = [], 0
-    with open(path, "rb") as raw, _text_range(raw, start, stop) as fh:
+    with open(path, "rb") as raw, io.TextIOWrapper(
+            io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
+            encoding="utf-8", errors="surrogateescape", newline="") as fh:
         while lines := fh.readlines(1 << 14):
             try:
                 blocks.append(_bulk_rows(lines, d, k))
@@ -613,13 +615,6 @@ def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
     except ValueError:
         raise _BadLine(index, "label row does not sum to 1") from None
     return values
-
-
-def _text_range(raw, start: int, stop: int):
-    """Bytes [start, stop) of the binary file `raw` as text whose lines end at
-    `\\r\\n`, `\\r` or `\\n`; a byte that is not UTF-8 reads as a lone surrogate."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
-                            encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def _send_rows(path, start: int, stop: int, d: int, k: int):
@@ -717,7 +712,7 @@ def _receive(pipe):
 
 
 def _line_ends(path, start: int, stop: int) -> int:
-    """How many lines end in bytes [start, stop), split as _text_range
+    """How many lines end in bytes [start, stop), split as _parse_lines
     splits them: each `\\r\\n`, `\\r` and `\\n` ends one."""
     ends, last = 0, b""
     with open(path, "rb") as fh:

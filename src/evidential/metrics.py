@@ -39,21 +39,15 @@ class EvalReport:
 
 
 def roc_auc(scores, labels) -> float | None:
-    """Mann-Whitney AUC with half credit for ties, O(n log n).
+    """Mann-Whitney AUC with half credit for ties, O(n log n): the K = 2
+    case of multiclass_auc, with `scores` as class 1's column.
 
     Returns None when only one class is present (never a fabricated
     0.5 and never NaN). Non-finite scores and labels other than 0 or 1
     raise ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    if scores.shape != labels.shape:
-        raise ValueError("scores and labels must have equal length")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be 0 or 1")
-    return _column_aucs(scores, labels == 1, None, [None], [scores.size])[0]
+    return multiclass_auc(np.column_stack((np.zeros_like(scores), scores)), labels)
 
 
 def _column_aucs(scores, positive, keys, taus, counts) -> list:
@@ -104,8 +98,10 @@ def _multiclass_aucs(p_hat: np.ndarray, class_idx: np.ndarray, keys, taus):
     """(multiclass_auc, row count) of each row set {keys < tau} (every row
     where keys is None), sorting each score column once; None for an empty set.
 
-    Raises the error that the first set holding a bad row would raise on
-    its own: a non-finite score, then (two classes) a label not 0 or 1.
+    The one input rule of every AUC entry point: a label is a class index
+    0..K-1 (for K = 2, 0 or 1), and the scores used are finite. Raises the
+    error that the first set holding a bad row would raise on its own: a
+    non-finite score, then a label that is no class index.
     """
     n, k = p_hat.shape
     if class_idx.shape != (n,):
@@ -113,17 +109,19 @@ def _multiclass_aucs(p_hat: np.ndarray, class_idx: np.ndarray, keys, taus):
     sets = [None] * len(taus) if keys is None else [keys < tau for tau in taus]
     counts = [n if rows is None else int(np.count_nonzero(rows)) for rows in sets]
     columns = [1] if k == 2 else range(k)
+    positive = [class_idx == j for j in range(k)]
     bad_score = ~np.isfinite(p_hat[:, columns]).all(axis=1)
-    bad_label = ~((class_idx == 0) | (class_idx == 1)) if k == 2 else np.zeros(n, bool)
+    bad_label = ~np.logical_or.reduce(positive)
     if bad_score.any() or bad_label.any():
         for rows in sets:
             if (bad_score if rows is None else bad_score & rows).any():
                 raise ValueError("scores must be finite")
             if (bad_label if rows is None else bad_label & rows).any():
-                raise ValueError("labels must be 0 or 1")
+                raise ValueError("labels must be 0 or 1" if k == 2
+                                 else f"labels must be class indices 0..{k - 1}")
     if k == 2:
-        return _column_aucs(p_hat[:, 1], class_idx == 1, keys, taus, counts), counts
-    per_class = [_column_aucs(p_hat[:, j], class_idx == j, keys, taus, counts)
+        return _column_aucs(p_hat[:, 1], positive[1], keys, taus, counts), counts
+    per_class = [_column_aucs(p_hat[:, j], positive[j], keys, taus, counts)
                  for j in range(k)]
     return [float(np.mean(parts)) if parts else None
             for parts in ([auc for auc in point if auc is not None]
@@ -147,7 +145,7 @@ def auc_vs_uncertainty(
     maximum observed uncertainty, so the last entry covers the full set.
     Each score column is sorted once for the whole curve.
     """
-    labels = np.asarray(labels).ravel().astype(int)
+    labels = np.asarray(labels).ravel()
     u = out.uncertainty
     if thresholds is None:
         cover_all = np.nextafter(float(u.max()), np.inf)

@@ -122,8 +122,13 @@ def roc_auc_ranked(scores, labels):
 def multiclass_auc_ranked(p_hat, class_idx):
     """`metrics.multiclass_auc` with one rank of each column per call."""
     p_hat = np.asarray(p_hat, dtype=np.float64)
-    if p_hat.shape[1] == 2:
+    k = p_hat.shape[1]
+    if k == 2:
         return roc_auc_ranked(p_hat[:, 1], class_idx)
+    if not np.all(np.isfinite(p_hat)):
+        raise ValueError("scores must be finite")
+    if not np.all(np.isin(class_idx, np.arange(k))):
+        raise ValueError(f"labels must be class indices 0..{k - 1}")
     parts = []
     for j in range(p_hat.shape[1]):
         auc = roc_auc_ranked(p_hat[:, j], (class_idx == j).astype(int))
@@ -136,7 +141,7 @@ def auc_vs_uncertainty_per_subset(out: EvidentialOutput, labels, grid=None):
     """(threshold, AUC, sample count) of each u < tau subset, each subset
     ranked on its own: the curve `metrics.auc_vs_uncertainty` must match.
     The default grid is the decade grid plus a point just above max u."""
-    labels = np.asarray(labels).ravel().astype(int)
+    labels = np.asarray(labels).ravel()
     if grid is None:
         cover_all = np.nextafter(float(out.uncertainty.max()), np.inf)
         grid = sorted(set(np.round(np.arange(0.1, 1.01, 0.1), 10).tolist()) | {cover_all})

@@ -56,6 +56,7 @@ CONFIG_ERRORS = {
     "dataset_unknown_kind": {"dataset": {"kind": "cube", "n": 100}},
     "gen_k_above_d": ["gen", "--k", "3", "--d", "2"],
     "gen_ring_k1": ["gen", "--kind", "ring", "--k", "1"],
+    "gen_ring_d0": ["gen", "--kind", "ring", "--d", "0"],
     "gen_n_fractional": ["gen", "--n", "12.5"],
     "gen_unknown_kind": ["gen", "--kind", "cube"],
     "compare_negative_lambda": ["compare", "--data", "{data}", "--lambdas", "-0.5"],

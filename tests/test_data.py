@@ -161,6 +161,8 @@ class TestGenOodRing:
             gen_ood_ring(0, 2, 1.0)
         with pytest.raises(ValueError):
             gen_ood_ring(10, 2, 0.0)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            gen_ood_ring(10, 0, 1.0)
 
     def test_determinism(self):
         a = gen_ood_ring(30, 4, 10.0, seed=9)
@@ -694,13 +696,37 @@ class TestCsvRanges:
     @pytest.mark.parametrize("cell", [b"1e400", b"\xff"], ids=["non_finite", "not_utf8"])
     def test_only_a_bad_range_is_parsed_line_by_line(self, tmp_path, monkeypatch, ranges,
                                                     where, cell):
+        # `+` cells: the decimal kernel declines every range, so each goes to _parse_lines
         header = b"f0,y0,y1\r\n"
         lines = _fixed_width_csv(RANGED_ROWS)
+        assert len(set(lines)) == len(lines)
         path = tmp_path / "d.csv"
         path.write_bytes(header + b"".join(lines))
         forks = _force_ranges(monkeypatch, ranges)
         cuts = data._body_cuts(path, len(header))
-        i = 2 if where == "line_4" else (cuts[-2] - len(header)) // len(lines[0])
+        seen, real_line_row = tmp_path / "seen", data._line_row
+        seen.mkdir()
+
+        def line_row(line, index, d, k):  # in whichever process parses the range
+            with open(seen / str(os.getpid()), "ab") as fh:
+                fh.write(line.encode("utf-8", "surrogateescape"))
+            return real_line_row(line, index, d, k)
+
+        def parsed_alone():
+            text = b"".join(p.read_bytes() for p in seen.iterdir())
+            width = len(lines[0])
+            at = {line: i for i, line in enumerate(lines)}
+            return sorted(at[text[j:j + width]] for j in range(0, len(text), width))
+
+        with monkeypatch.context() as m:
+            m.setattr(data, "_line_row", line_row)
+            back = load_csv(path)
+        assert parsed_alone() == []
+        assert np.array_equal(back.features.view(np.int64),
+                              _one_range(monkeypatch, load_csv, path).features.view(np.int64))
+        assert len(forks) == ranges - 1
+        start = 0 if where == "line_4" else (cuts[-2] - len(header)) // len(lines[0])
+        i = start + 2 if where == "line_4" else start
         lines[i] = cell + lines[i][len(cell):]  # same length, so the cuts stay where they are
         path.write_bytes(header + b"".join(lines))
         expected = f"{path}: line {i + 2}: " + (
@@ -708,20 +734,15 @@ class TestCsvRanges:
         with pytest.raises(ValueError) as serial:
             _one_range(monkeypatch, load_csv, path)
         assert str(serial.value) == expected
-        seen, real_parse = tmp_path / "seen", data._parse_lines
-        seen.mkdir()
-
-        def parse_lines(path, start, stop, d, k):  # in whichever process parses the range
-            (seen / str(start)).touch()
-            return real_parse(path, start, stop, d, k)
-
-        monkeypatch.setattr(data, "_parse_lines", parse_lines)
+        monkeypatch.setattr(data, "_line_row", line_row)
         with pytest.raises(ValueError) as ranged:
             load_csv(path)
         assert str(ranged.value) == expected
-        starts = [int(p.name) for p in seen.iterdir()]
-        assert starts == [cuts[0] if where == "line_4" else cuts[-2]]
-        assert len(forks) == ranges - 1
+        # readlines(1 << 14) ends a block at the first line past 16 KiB
+        per_block = (1 << 14) // len(lines[0]) + 1
+        block = start + (i - start) // per_block * per_block
+        assert parsed_alone() == list(range(block, i + 1))
+        assert len(forks) == 2 * (ranges - 1)
         _assert_clean(tmp_path, ["d.csv", "seen"])
 
     @pytest.mark.parametrize("ranges", RANGE_CASES)

@@ -139,6 +139,28 @@ class TestMulticlassAuc:
         assert multiclass_auc(p, np.array([1, 1])) is None
 
 
+class TestLabelRule:
+    """Every AUC entry point takes a label only as a class index 0..K-1."""
+
+    @pytest.mark.parametrize("bad", [0.5, 1.9])
+    def test_two_class_curve_rejects_a_fractional_label(self, bad):
+        out = output_from_evidence([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            auc_vs_uncertainty(out, np.array([0, 1, bad]))
+
+    @pytest.mark.parametrize("bad", [3, -1, 0.5])
+    def test_three_class_entry_points_reject_a_non_index(self, bad):
+        evidence = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]])
+        labels = np.array([0, 1, 2, bad])
+        calls = [lambda: multiclass_auc(evidence / evidence.sum(axis=1, keepdims=True), labels),
+                 lambda: auc_vs_uncertainty(output_from_evidence(evidence), labels),
+                 lambda: evaluate(evidence, "relu_evidence", labels, 0, "tedl"),
+                 lambda: evaluate(evidence, "identity", labels, 0, "ce")]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"labels must be class indices 0\.\.2"):
+                call()
+
+
 class TestAucVsUncertainty:
     def test_constructed_toy(self):
         # confident pair ordered correctly, uncertain pair inverted
@@ -253,7 +275,7 @@ def _rank_once_cases(draw):
     evidence = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
                                       min_size=n, max_size=n)), dtype=np.float64).reshape(n, k)
     out = evidence_to_alpha(evidence, "relu_evidence")
-    top = 3 if k == 2 and draw(st.booleans()) else k  # a class label 2 is bad when K = 2
+    top = k + 1 if draw(st.booleans()) else k  # a class label k is bad
     labels = np.array(draw(st.lists(st.integers(0, top - 1), min_size=n, max_size=n)), dtype=int)
     if n and draw(st.integers(0, 4)) == 0:  # a non-finite score
         p_hat = out.p_hat.copy()
@@ -281,6 +303,7 @@ def test_rank_once_curve_matches_per_subset_ranks_bit_for_bit(case):
     got_all = _outcome(multiclass_auc, out.p_hat, labels)
     assert (got_all == all_rows if isinstance(all_rows, tuple)
             else _bits(got_all) == _bits(all_rows))
-    if out.uncertainty.size and np.isfinite(out.p_hat).all() and labels.max(initial=0) < 2:
+    k = out.p_hat.shape[1]
+    if out.uncertainty.size and np.isfinite(out.p_hat).all() and labels.max(initial=0) < k:
         report, _ = evaluate(out.evidence, "relu_evidence", labels, 0, "x")
         assert _bits(report.overall_auc) == _bits(all_rows)
