@@ -29,10 +29,7 @@ MODEL_VERSION = 1
 # SplitSpec's fractions; its seed is the plan's.
 PLAN_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in fields(TrainPlan)}
 SPLIT_KEYS = tuple(f.name for f in fields(datamod.SplitSpec) if f.name != "seed")
-CONFIG_KEYS = set(PLAN_FIELDS) | set(SPLIT_KEYS) | {
-    "dataset_csv", "dataset", "out_dir", "report_formats",
-}
-REPORT_FORMATS = ["csv", "json"]  # the allowed formats, all written by default
+CONFIG_KEYS = set(PLAN_FIELDS) | set(SPLIT_KEYS) | {"dataset_csv", "dataset", "out_dir"}
 METHOD_MODES = {"ce": "ce_only", "edl": "edl_only", "tedl": "tedl"}  # compare's methods
 
 # Generator parameters: the `gen` flags and a config's `dataset` block.
@@ -205,7 +202,7 @@ def _plan_from_config(cfg: dict) -> TrainPlan:
 
 
 def _parse_config(cfg: dict):
-    """(TrainPlan, SplitSpec, report formats) of a train config.
+    """(TrainPlan, SplitSpec) of a train config.
 
     The plan and the split check their own values; every problem found
     is listed in one ConfigError.
@@ -224,9 +221,6 @@ def _parse_config(cfg: dict):
         errors.append("out_dir must not be empty")
     errors += [f"{key} must be a string" for key in ("out_dir", "dataset_csv")
                if not isinstance(cfg.get(key, ""), str)]
-    formats = cfg.get("report_formats", REPORT_FORMATS)
-    if not isinstance(formats, list) or any(f not in REPORT_FORMATS for f in formats):
-        errors.append(f"report_formats must be a list drawn from {REPORT_FORMATS}")
 
     def attempt(build):
         try:
@@ -240,7 +234,7 @@ def _parse_config(cfg: dict):
         **{key: _coerce(key, cfg[key], float) for key in SPLIT_KEYS if key in cfg}))
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    return plan, replace(spec, seed=plan.seed), formats
+    return plan, replace(spec, seed=plan.seed)
 
 
 def _generate_dataset(params: dict):
@@ -284,22 +278,20 @@ def report_to_dict(report: metrics.EvalReport) -> dict:
     return doc
 
 
-def _emit_run_artifacts(result: RunResult, out_dir: Path, formats) -> dict:
+def _emit_run_artifacts(result: RunResult, out_dir: Path) -> dict:
     files = {}
     csv_path = out_dir / "epochs.csv"
     _write_atomic(csv_path, _csv(EPOCH_CSV_HEADER, map(astuple, result.records)))
     files["epochs_csv"] = str(csv_path)
-    if "csv" in formats:
-        curves = out_dir / "threshold_curves.csv"
-        _write_atomic(curves, _csv("epoch,threshold,auc,sample_count", (
-            (report.epoch, p.threshold, p.auc, p.sample_count)
-            for report in result.reports for p in report.threshold_curve)))
-        files["threshold_curves_csv"] = str(curves)
-    if "json" in formats:
-        for report in result.reports:
-            path = out_dir / f"eval_epoch_{report.epoch}.json"
-            _write_atomic(path, json.dumps(report_to_dict(report), indent=1))
-            files[f"eval_epoch_{report.epoch}"] = str(path)
+    curves = out_dir / "threshold_curves.csv"
+    _write_atomic(curves, _csv("epoch,threshold,auc,sample_count", (
+        (report.epoch, p.threshold, p.auc, p.sample_count)
+        for report in result.reports for p in report.threshold_curve)))
+    files["threshold_curves_csv"] = str(curves)
+    for report in result.reports:
+        path = out_dir / f"eval_epoch_{report.epoch}.json"
+        _write_atomic(path, json.dumps(report_to_dict(report), indent=1))
+        files[f"eval_epoch_{report.epoch}"] = str(path)
     model_path = out_dir / "model.json"
     save_model(result.network, model_path)
     files["model"] = str(model_path)
@@ -332,7 +324,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{cfg_path}: malformed JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{cfg_path}: config must be a JSON object")
-    plan, spec, formats = _parse_config(cfg)
+    plan, spec = _parse_config(cfg)
     started = time.time()
     dataset = (_read_dataset(Path(cfg["dataset_csv"])) if "dataset_csv" in cfg
                else _generate_dataset(cfg["dataset"])[0])
@@ -340,7 +332,7 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_plan(plan, pair)
-    files = _emit_run_artifacts(result, out_dir, formats)
+    files = _emit_run_artifacts(result, out_dir)
     manifest = {
         "config": cfg,
         "seed": plan.seed,

@@ -141,8 +141,8 @@ def gen_blobs(
         raise ValueError("n must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not (np.isfinite(separation) and separation > 0):
+        raise ValueError("separation must be finite and positive")
     if not 0.0 <= label_noise <= 1.0:
         raise ValueError("label_noise must lie in [0, 1]")
     if soft and label_noise > 0:
@@ -178,8 +178,8 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
         raise ValueError("d must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and positive")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -18,7 +18,9 @@ ACTIVATIONS = ("tanh", "relu", "elu", "identity")
 HEADS = ("softmax", "relu_evidence", "elu_evidence", "identity")
 # An evidence head is the hidden activation of the same name on the logits.
 EVIDENCE_ACTIVATION = {"relu_evidence": "relu", "elu_evidence": "elu"}
+INIT_MODES = ("standard", "hostile")
 _HOSTILE_SCALE = 0.01  # final-layer weight factor of the hostile init
+_HOSTILE_BIAS = 3.0  # the hostile init subtracts this from the final-layer bias
 
 
 class NumericError(ValueError):
@@ -231,14 +233,13 @@ def init_network(
     head: str = "softmax",
     seed: int = 0,
     init_mode: str = "standard",
-    hostile_bias: float = 3.0,
 ) -> Network:
     """Build a network with Glorot-uniform weights and zero biases.
 
     `sizes` is the full layer-size chain, e.g. [d, 32, K]. Hidden layers
     share `hidden_activation`; the last layer is identity.
     The hostile init mode scales the final layer's weights by
-    _HOSTILE_SCALE and offsets its bias to -hostile_bias, which starves
+    _HOSTILE_SCALE and offsets its bias to -_HOSTILE_BIAS, which starves
     a ReLU evidence head of gradient from the very first step.
     """
     sizes = list(sizes)
@@ -246,7 +247,7 @@ def init_network(
         raise ValueError("need at least input and output sizes")
     if sizes[-1] < 2:
         raise ValueError("output size (class count) must be >= 2")
-    if init_mode not in ("standard", "hostile"):
+    if init_mode not in INIT_MODES:
         raise ValueError(f"unknown init_mode {init_mode!r}")
 
     rng = np.random.default_rng(seed)
@@ -259,7 +260,7 @@ def init_network(
         layers.append(Layer(weights=w, bias=b, activation=act))
     if init_mode == "hostile":
         layers[-1].weights *= _HOSTILE_SCALE
-        layers[-1].bias -= hostile_bias
+        layers[-1].bias -= _HOSTILE_BIAS
     return Network(layers=layers, head=head, class_count=sizes[-1])
 
 

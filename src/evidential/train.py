@@ -28,8 +28,8 @@ class TrainingError(RuntimeError):
 
 @dataclass(eq=False)
 class OptimizerState:
-    kind: str = "adam"  # adam | sgd
-    learning_rate: float = 1e-3
+    kind: str  # adam | sgd
+    learning_rate: float
     step_count: int = 0
     # Adam's first and second moments, each the shape of Network.theta
     m: np.ndarray | None = None
@@ -58,7 +58,6 @@ class TrainPlan:
     seed: int = 0
     evidence_head_stage2: str = "elu_evidence"
     init_mode: str = "standard"
-    hostile_bias: float = 3.0
     hidden_sizes: tuple = (32,)
     hidden_activation: str = "tanh"
 
@@ -70,8 +69,8 @@ class TrainPlan:
             errors.append("tedl needs stage1_epochs >= 1 and stage2_epochs >= 1")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             errors.append("epoch counts must be >= 0")
-        if not np.all(np.isfinite([self.lam, self.lr_stage1, self.lr_stage2, self.hostile_bias])):
-            errors.append("lambda, learning rates and hostile_bias must be finite")
+        if not np.all(np.isfinite([self.lam, self.lr_stage1, self.lr_stage2])):
+            errors.append("lambda and learning rates must be finite")
         if self.lam < 0:
             errors.append("lambda must be >= 0")
         if self.seed < 0:
@@ -84,7 +83,7 @@ class TrainPlan:
             errors.append("learning rates must be >= 0")
         if self.evidence_head_stage2 not in ndcore.EVIDENCE_ACTIVATION:
             errors.append("evidence_head_stage2 must be relu_evidence or elu_evidence")
-        if self.init_mode not in ("standard", "hostile"):
+        if self.init_mode not in ndcore.INIT_MODES:
             errors.append(f"init_mode must be standard or hostile, got {self.init_mode!r}")
         if self.hidden_activation not in ndcore.ACTIVATIONS:
             errors.append(f"unknown hidden activation {self.hidden_activation!r}")
@@ -235,7 +234,7 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan):
 def build_network(plan: TrainPlan, input_dim: int, class_count: int) -> ndcore.Network:
     sizes = [input_dim, *[int(h) for h in plan.hidden_sizes], class_count]
     return ndcore.init_network(sizes, plan.hidden_activation, head="softmax", seed=plan.seed,
-                               init_mode=plan.init_mode, hostile_bias=plan.hostile_bias)
+                               init_mode=plan.init_mode)
 
 
 def run_plan(plan: TrainPlan, data) -> RunResult:

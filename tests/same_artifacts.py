@@ -1,0 +1,139 @@
+"""Check that this checkout writes the same artifacts as a git revision.
+
+    python tests/same_artifacts.py REV
+
+REV's tree is exported with `git archive` into a temporary directory, so
+the repository's own state is never touched; the directory is removed on
+exit, also on failure. A fixed list of CLI commands then runs in REV's
+tree and in this checkout (its working files, uncommitted edits
+included), each with one BLAS thread, no EVIDENTIAL_SEED and relative
+output paths:
+
+- the reference config (20k x 10 blobs, hidden (8,) ReLU, SGD, 10+10 epochs);
+- a hostile-init `edl_only` run with ReLU evidence and Adam;
+- a K=10 `ce_only` run;
+- `gen` of a 100k-row holdout, then `eval` of the reference model on it;
+- `compare` on a K=3 CSV.
+
+Every file they write is compared: one line per artifact with its sha256
+here, and `match` or `DIFFER`. Manifests are compared as JSON without
+`wall_clock_sec`. Exits 1 on any difference or failed command, else 0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+
+REFERENCE = {
+    "mode": "tedl", "stage1_epochs": 10, "stage2_epochs": 10, "lambda": 0.1,
+    "batch_size": 128, "optimizer": "sgd", "lr_stage1": 0.2, "lr_stage2": 0.2, "seed": 0,
+    "hidden_sizes": [8], "hidden_activation": "relu",
+    "dataset": {"kind": "blobs", "n": 20000, "d": 10, "k": 2, "sep": 2.0, "noise": 0.1,
+                "seed": 0},
+    "out_dir": "ref",
+}
+CONFIGS = {
+    "ref": REFERENCE,
+    "hostile": {
+        "mode": "edl_only", "stage2_epochs": 5, "optimizer": "adam", "seed": 1,
+        "init_mode": "hostile", "evidence_head_stage2": "relu_evidence",
+        "hidden_sizes": [8], "hidden_activation": "relu",
+        "dataset": {"kind": "blobs", "n": 4000, "d": 4, "k": 3, "sep": 3.0, "seed": 1},
+        "out_dir": "hostile",
+    },
+    "ce10": {
+        "mode": "ce_only", "stage1_epochs": 3, "stage2_epochs": 0, "optimizer": "adam",
+        "seed": 2, "hidden_sizes": [32], "hidden_activation": "tanh",
+        "dataset": {"kind": "blobs", "n": 5000, "d": 16, "k": 10, "sep": 3.0, "seed": 2},
+        "out_dir": "ce10",
+    },
+}
+COMMANDS = [
+    *(["train", "--config", f"{name}.json"] for name in CONFIGS),
+    ["gen", "--n", "100000", "--d", "10", "--k", "2", "--sep", "2.0", "--noise", "0.1",
+     "--seed", "5", "--out", "holdout"],
+    ["eval", "--model", "ref/model.json", "--data", "holdout/blobs_hard_n100000_d10_k2.csv",
+     "--out", "eval"],
+    ["gen", "--n", "1500", "--d", "3", "--k", "3", "--sep", "3.0", "--seed", "3",
+     "--out", "k3"],
+    ["compare", "--data", "k3/blobs_hard_n1500_d3_k3.csv", "--lambdas", "0.1,0.5",
+     "--stage1-epochs", "2", "--stage2-epochs", "2", "--out", "cmp"],
+]
+OUTPUTS = [*(cfg["out_dir"] for cfg in CONFIGS.values()), "holdout", "eval", "k3", "cmp"]
+
+
+def run_commands(tree: Path, work: Path) -> None:
+    """Run COMMANDS with `tree`'s package in `work`; raises on a failed command."""
+    work.mkdir()
+    for name, cfg in CONFIGS.items():
+        (work / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key != "EVIDENTIAL_SEED"}
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    where = subprocess.run([sys.executable, "-c", "import evidential; print(evidential.__file__)"],
+                           cwd=work, env=env, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).is_relative_to(tree / "src"):
+        raise RuntimeError(f"{tree}: imported evidential from {where.stdout.strip()}")
+    for argv in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "evidential", *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{tree}: `evidential {' '.join(argv)}` exited "
+                               f"{done.returncode}: {done.stderr.strip()}")
+
+
+def digest(path: Path) -> str:
+    """sha256 of a file; of a manifest, of its JSON without `wall_clock_sec`."""
+    data = path.read_bytes()
+    if path.name.endswith("manifest.json"):
+        doc = json.loads(data)
+        doc.pop("wall_clock_sec", None)
+        data = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifacts(work: Path) -> dict[str, str]:
+    return {str(path.relative_to(work)): digest(path)
+            for out in OUTPUTS for path in sorted((work / out).rglob("*")) if path.is_file()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/same_artifacts.py REV", file=sys.stderr)
+        return 1
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
+        tmp = Path(tmp)
+        try:
+            archive = subprocess.run(["git", "-C", str(HERE), "archive", "--format=tar", rev],
+                                     capture_output=True, check=True).stdout
+            (tmp / "rev").mkdir()
+            subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+            run_commands(tmp / "rev", tmp / "rev_work")
+            run_commands(HERE, tmp / "here_work")
+        except (RuntimeError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or b""
+            print(f"error: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
+            return 1
+        theirs, ours = artifacts(tmp / "rev_work"), artifacts(tmp / "here_work")
+    differ = 0
+    for name in sorted(theirs.keys() | ours.keys()):
+        same = theirs.get(name) == ours.get(name)
+        differ += not same
+        print(f"{'match' if same else 'DIFFER'}  {ours.get(name, 'missing here'):64}  {name}"
+              + ("" if same else f"  ({rev}: {theirs.get(name, 'missing')})"))
+    print(f"{len(ours | theirs) - differ} of {len(ours | theirs)} artifacts byte-identical "
+          f"to {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

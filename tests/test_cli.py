@@ -67,6 +67,8 @@ CONFIG_ERRORS = {
     "lambda_infinite": {"lambda": float("inf")},
     "lr_stage1_infinite": {"lr_stage1": float("inf")},
     "hostile_bias_nan": {"init_mode": "hostile", "hostile_bias": float("nan")},
+    "hostile_bias_default": {"hostile_bias": 3.0},
+    "report_formats_csv_only": {"report_formats": ["csv"]},
     "train_fraction_nan": {"train_fraction": float("nan")},
     "dataset_soft_string": {"dataset": {"kind": "blobs", "n": 100, "soft": "false"}},
     "epochs_boolean": {"stage1_epochs": True},
@@ -105,6 +107,15 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, case):
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("report_formats", ["csv"]), ("hostile_bias", 3.0)])
+def test_removed_config_keys_are_named(tmp_path, capsys, key, value):
+    # every run writes every report, and the hostile init's bias is a constant
+    cfg_path, _ = write_config(tmp_path, **{key: value})
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "gen", "eval", "compare"])
@@ -269,11 +280,17 @@ class TestTrain:
             assert (run_dir / f"eval_epoch_{epoch}.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
+        # every file the manifest lists: epochs.csv, threshold_curves.csv,
+        # each eval_epoch_*.json and model.json
         cfg_path, _ = write_config(tmp_path)
-        run_cli("train", "--config", str(cfg_path))
-        first = (tmp_path / "run" / "epochs.csv").read_bytes()
-        run_cli("train", "--config", str(cfg_path))
-        assert (tmp_path / "run" / "epochs.csv").read_bytes() == first
+        manifest = tmp_path / "run" / "manifest.json"
+        runs = []
+        for _ in range(2):
+            assert run_cli("train", "--config", str(cfg_path)) == 0
+            paths = json.loads(manifest.read_text())["paths"]
+            runs.append({key: Path(path).read_bytes() for key, path in paths.items()})
+        assert len(runs[0]) == 3 + 4  # 2 + 2 epochs
+        assert runs[1] == runs[0]
 
     def test_missing_config(self, capsys):
         assert run_cli("train", "--config", "/nonexistent.json") == 1

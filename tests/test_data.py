@@ -88,6 +88,9 @@ class TestGenBlobs:
             gen_blobs(10, 1, 2, 1.0)  # k > d has no distinct corners
         with pytest.raises(ValueError, match="hard labels only"):
             gen_blobs(10, 2, 2, 1.0, label_noise=0.1, soft=True)
+        for separation in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="separation must be finite and positive"):
+                gen_blobs(10, 2, 2, separation)
 
     def test_separation_is_pairwise_center_distance(self):
         ds = gen_blobs(10, 5, 3, separation=4.0, seed=0)
@@ -163,6 +166,9 @@ class TestGenOodRing:
             gen_ood_ring(10, 2, 0.0)
         with pytest.raises(ValueError, match="d must be >= 1"):
             gen_ood_ring(10, 0, 1.0)
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                gen_ood_ring(10, 2, radius)
 
     def test_determinism(self):
         a = gen_ood_ring(30, 4, 10.0, seed=9)

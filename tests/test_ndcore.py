@@ -197,7 +197,7 @@ class TestInit:
 
     def test_hostile_init_final_bias(self):
         net = init_network([2, 4, 2], head="relu_evidence", seed=1,
-                           init_mode="hostile", hostile_bias=3.0)
+                           init_mode="hostile")
         assert np.all(net.layers[-1].bias == -3.0)
         assert np.all(net.layers[0].bias == 0.0)
 
