@@ -88,6 +88,44 @@ class Dataset:
     def class_indices(self) -> np.ndarray:
         return np.argmax(self.labels, axis=1)
 
+    def rows(self, idx) -> np.ndarray:
+        """The feature rows at `idx`: `features[idx]`."""
+        return self.features[idx]
+
+
+class _TrainingPart(Dataset):
+    """The rows of `parent` at `index`, read through the parent like a numpy view.
+
+    They are rows of a checked Dataset, so they are not checked again. `features`
+    and `labels` are gathered on first use and then kept; `rows` always reads the parent.
+    """
+
+    def __init__(self, parent: Dataset, index: np.ndarray, name: str):
+        self.parent, self.index, self.name = parent, index, name
+
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        return self.parent.features[self.index]
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        return self.parent.labels[self.index]
+
+    @property
+    def n(self) -> int:
+        return self.index.size
+
+    @property
+    def dim(self) -> int:
+        return self.parent.dim
+
+    @property
+    def class_count(self) -> int:
+        return self.parent.class_count
+
+    def rows(self, idx) -> np.ndarray:
+        return self.parent.features[self.index[idx]]
+
 
 @dataclass
 class SplitSpec:
@@ -731,7 +769,8 @@ def split(dataset: Dataset, spec: SplitSpec):
     Per-class row counts go to the training part in proportion
     train_fraction (rounded); when the fractions sum to 1 the
     validation part takes everything else, so the union preserves
-    all rows.
+    all rows. The validation part is a copy of its rows; the training
+    part reads `dataset`'s arrays, so changing them changes it.
     """
     rng = np.random.default_rng(spec.seed)
     classes = dataset.class_indices()
@@ -754,8 +793,5 @@ def split(dataset: Dataset, spec: SplitSpec):
     if train_idx.size < 1 or val_idx.size < 1:
         raise ValueError("split fractions too small to yield at least one row")
 
-    def _take(idx, suffix):
-        return Dataset(dataset.features[idx], dataset.labels[idx],
-                       name=f"{dataset.name}_{suffix}")
-
-    return _take(train_idx, "train"), _take(val_idx, "val")
+    val = Dataset(dataset.features[val_idx], dataset.labels[val_idx], name=f"{dataset.name}_val")
+    return _TrainingPart(dataset, train_idx, f"{dataset.name}_train"), val

@@ -158,12 +158,9 @@ def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def forward_with_cache(net: Network, x):
-    """Forward pass that also returns the layer activations.
-
-    Returns (head output, cache); `backward` accepts the cache for any
-    network with the same layers, whatever its head.
-    """
+def _layer_pass(net: Network, x, keep: bool):
+    """(head output of `net` on `x`, cache): the cache is `(x, pre, post)`,
+    every layer's input matrix, pre- and post-activations, when `keep`, else None."""
     x = as_matrix(x)
     _require_finite(x, "network input")
     if x.shape[1] != net.input_dim:
@@ -177,16 +174,26 @@ def forward_with_cache(net: Network, x):
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite pre-activation in layer {idx}")
         z = _activate(layer.activation, a)
-        pre.append(a)
-        post.append(z)
+        if keep:
+            pre.append(a)
+            post.append(z)
     out = _apply_head(net.head, z)
     _require_finite(out, "head output")
-    return out, (x, pre, post)
+    return out, ((x, pre, post) if keep else None)
+
+
+def forward_with_cache(net: Network, x):
+    """Forward pass that also returns the layer activations.
+
+    Returns (head output, cache); `backward` accepts the cache for any
+    network with the same layers, whatever its head.
+    """
+    return _layer_pass(net, x, True)
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Forward pass through all layers and the output head."""
-    return forward_with_cache(net, x)[0]
+    """Forward pass through all layers and the output head; keeps no activations."""
+    return _layer_pass(net, x, False)[0]
 
 
 def backward(net: Network, upstream, cache) -> np.ndarray:

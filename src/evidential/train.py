@@ -158,7 +158,7 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
         lambda_t = losses.lambda_schedule(t, lam)
         parts, batch_norms = [], []
         for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
-            output, cache = ndcore.forward_with_cache(net, train_ds.features[idx])
+            output, cache = ndcore.forward_with_cache(net, train_ds.rows(idx))
             loss, upstream = loss_fn(output, idx, lambda_t)
             if not np.isfinite(loss.total):
                 raise TrainingError(

@@ -12,12 +12,16 @@ output paths:
 - the reference config (20k x 10 blobs, hidden (8,) ReLU, SGD, 10+10 epochs);
 - a hostile-init `edl_only` run with ReLU evidence and Adam;
 - a K=10 `ce_only` run;
+- a `ce_only` run shaped like the benchmark's `ce_wide` (50k x 32 blobs, K=10,
+  hidden (64, 64) tanh, Adam, 5 epochs);
 - `gen` of a 100k-row holdout, then `eval` of the reference model on it;
 - `compare` on a K=3 CSV.
 
 Every file they write is compared: one line per artifact with its sha256
 here, and `match` or `DIFFER`. Manifests are compared as JSON without
-`wall_clock_sec`. Exits 1 on any difference or failed command, else 0.
+`wall_clock_sec`. Each command's peak RSS in both trees (the child's
+`ru_maxrss` from `os.wait4`) is printed too, for information only. Exits 1
+on any difference or failed command, else 0.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ CONFIGS = {
         "dataset": {"kind": "blobs", "n": 5000, "d": 16, "k": 10, "sep": 3.0, "seed": 2},
         "out_dir": "ce10",
     },
+    "wide": {
+        "mode": "ce_only", "stage1_epochs": 5, "stage2_epochs": 0, "batch_size": 256,
+        "optimizer": "adam", "lr_stage1": 1e-3, "seed": 7, "hidden_sizes": [64, 64],
+        "hidden_activation": "tanh",
+        "dataset": {"kind": "blobs", "n": 50000, "d": 32, "k": 10, "sep": 3.0, "seed": 7},
+        "out_dir": "wide",
+    },
 }
 COMMANDS = [
     *(["train", "--config", f"{name}.json"] for name in CONFIGS),
@@ -70,8 +81,9 @@ COMMANDS = [
 OUTPUTS = [*(cfg["out_dir"] for cfg in CONFIGS.values()), "holdout", "eval", "k3", "cmp"]
 
 
-def run_commands(tree: Path, work: Path) -> None:
-    """Run COMMANDS with `tree`'s package in `work`; raises on a failed command."""
+def run_commands(tree: Path, work: Path) -> list[float]:
+    """Run COMMANDS with `tree`'s package in `work` and return each one's peak RSS
+    in MB; raises on a failed command."""
     work.mkdir()
     for name, cfg in CONFIGS.items():
         (work / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -82,12 +94,20 @@ def run_commands(tree: Path, work: Path) -> None:
                            cwd=work, env=env, capture_output=True, text=True, check=True)
     if not Path(where.stdout.strip()).is_relative_to(tree / "src"):
         raise RuntimeError(f"{tree}: imported evidential from {where.stdout.strip()}")
+    peaks = []
     for argv in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "evidential", *argv], cwd=work, env=env,
-                              capture_output=True, text=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"{tree}: `evidential {' '.join(argv)}` exited "
-                               f"{done.returncode}: {done.stderr.strip()}")
+        with tempfile.TemporaryFile() as err:
+            child = subprocess.Popen([sys.executable, "-m", "evidential", *argv], cwd=work,
+                                     env=env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            if child.returncode != 0:
+                err.seek(0)
+                detail = err.read().decode(errors="replace").strip()
+                raise RuntimeError(f"{tree}: `evidential {' '.join(argv)}` exited "
+                                   f"{child.returncode}: {detail}")
+        peaks.append(usage.ru_maxrss / 1024)  # kB on Linux
+    return peaks
 
 
 def digest(path: Path) -> str:
@@ -117,8 +137,8 @@ def main(argv: list[str]) -> int:
                                      capture_output=True, check=True).stdout
             (tmp / "rev").mkdir()
             subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
-            run_commands(tmp / "rev", tmp / "rev_work")
-            run_commands(HERE, tmp / "here_work")
+            their_peaks = run_commands(tmp / "rev", tmp / "rev_work")
+            our_peaks = run_commands(HERE, tmp / "here_work")
         except (RuntimeError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or b""
             print(f"error: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
@@ -132,6 +152,9 @@ def main(argv: list[str]) -> int:
               + ("" if same else f"  ({rev}: {theirs.get(name, 'missing')})"))
     print(f"{len(ours | theirs) - differ} of {len(ours | theirs)} artifacts byte-identical "
           f"to {rev}")
+    print(f"peak RSS in MB, {rev} -> here:")
+    for argv, theirs_mb, ours_mb in zip(COMMANDS, their_peaks, our_peaks):
+        print(f"{theirs_mb:8.1f} -> {ours_mb:8.1f}  evidential {' '.join(argv)}")
     return 1 if differ else 0
 
 

@@ -1031,6 +1031,19 @@ class TestSplit:
         assert np.sum(tr.class_indices() == 1) == 40
         assert np.sum(va.class_indices() == 0) == 10
 
+    def test_training_part_reads_its_parents_rows(self):
+        ds = gen_blobs(500, 4, 3, 3.0, seed=6)
+        tr, _ = split(ds, SplitSpec(0.8, 0.2, seed=6))
+        assert tr.parent is ds
+        assert (tr.n, tr.dim, tr.class_count) == (400, 4, 3)
+        idx = np.array([5, 0, 399, 17, 5])
+        features, labels = ds.features[tr.index], ds.labels[tr.index]
+        assert np.array_equal(tr.rows(idx).view(np.int64), features[idx].view(np.int64))
+        assert np.array_equal(tr.features.view(np.int64), features.view(np.int64))
+        assert np.array_equal(tr.labels.view(np.int64), labels.view(np.int64))
+        assert tr.features is tr.features  # gathered once, then kept
+        assert np.array_equal(ds.rows(idx), ds.features[idx])
+
     def test_too_small_fraction_errors(self):
         ds = gen_blobs(4, 2, 2, 2.0, seed=0)
         with pytest.raises(ValueError, match="at least one row"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,29 @@ class TestForward:
         net.layers[1].weights[0, 0] = np.inf
         with pytest.raises(NumericError, match="layer 1"):
             forward(net, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("activation", ndcore.ACTIVATIONS)
+    @pytest.mark.parametrize("head", ndcore.HEADS)
+    def test_equals_forward_with_cache_output_bit_for_bit(self, head, activation):
+        net = init_network([5, 7, 6, 3], hidden_activation=activation, head=head, seed=3)
+        x = 3.0 * np.random.default_rng(4).standard_normal((50, 5))
+        out = forward(net, x)
+        assert np.array_equal(out.view(np.int64), forward_with_cache(net, x)[0].view(np.int64))
+
+    def test_keeps_no_activations(self):
+        net = init_network([32, 64, 64, 10], hidden_activation="tanh", seed=0)
+        x = np.random.default_rng(0).standard_normal((10_000, 32))
+        peaks = []
+        for run in (forward, forward_with_cache):
+            tracemalloc.start()
+            try:
+                run(net, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The cache holds both hidden layers' pre- and post-activations;
+        # forward needs at least one 10k x 64 activation fewer at its peak.
+        assert peaks[0] + 10_000 * 64 * 8 <= peaks[1]
 
 
 class TestBackward:

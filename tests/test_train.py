@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,13 +290,13 @@ def test_one_forward_pass_per_training_batch(train, monkeypatch):
     plan = TrainPlan(stage1_epochs=1, stage2_epochs=1, batch_size=128, seed=0)
     net = build_network(plan, 2, 2)
     rows = []
-    layer_pass = ndcore.forward_with_cache
+    layer_pass = ndcore._layer_pass
 
-    def counting(net, x):
+    def counting(net, x, keep):
         rows.append(len(x))
-        return layer_pass(net, x)
+        return layer_pass(net, x, keep)
 
-    monkeypatch.setattr(ndcore, "forward_with_cache", counting)
+    monkeypatch.setattr(ndcore, "_layer_pass", counting)
     train(net, pair, plan)
     batches = -(-pair[0].n // plan.batch_size)
     # One pass per training batch, then one over the validation set.
@@ -438,6 +439,20 @@ class TestRunPlan:
         result = run_plan(plan, pair)
         assert [r.epoch for r in result.records] == [0, 1, 2, 3, 4]
         assert [rep.epoch for rep in result.reports] == [0, 1, 2, 3, 4]
+
+    def test_keeps_no_copy_of_the_training_rows(self):
+        ds = gen_blobs(20_000, 32, 2, 3.0, seed=0)
+        plan = TrainPlan(mode="ce_only", stage1_epochs=1, stage2_epochs=0, hidden_sizes=(8,),
+                         seed=0)
+        run_plan(plan, easy_pair())  # first-use imports stay out of the traced peak
+        tracemalloc.start()
+        try:
+            run_plan(plan, split(ds, SplitSpec(seed=0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A copy of the 16k training rows alone would be 4.1 MB.
+        assert peak < (ds.features.nbytes + ds.labels.nbytes) / 2
 
     def test_edl_below_ce_on_blobs(self):
         # the desk-scale ordering this library exists to demonstrate:
