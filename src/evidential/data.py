@@ -185,6 +185,8 @@ def gen_blobs(
         raise ValueError("label_noise must lie in [0, 1]")
     if soft and label_noise > 0:
         raise ValueError("label_noise applies to hard labels only")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
     centers = _cluster_centers(k, d, separation)
     rng = np.random.default_rng(seed)
@@ -218,6 +220,8 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
         raise ValueError("k must be >= 2")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("radius must be finite and positive")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -350,8 +354,8 @@ def load_csv(path) -> Dataset:
     save_csv writes. Any other range, or one whose rows fail the checks, goes
     to _parse_lines, and the kernel reads exactly the doubles np.loadtxt
     reads. The first bad line of the first range with one is named, numbered
-    from the bytes before its cut, so rows and messages do not depend on the
-    cuts.
+    from the lines of the ranges before it, so rows and messages do not depend
+    on the cuts.
     """
     with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         line = fh.readline()
@@ -374,16 +378,16 @@ def _load_body(path, start: int, d: int, k: int) -> np.ndarray:
     cuts = _body_cuts(path, start)
     jobs = [functools.partial(_send_rows, path, a, b, d, k) for a, b in zip(cuts[1:], cuts[2:])]
     with _children(jobs) as pipes:
-        at = cuts[0]  # first byte of the range whose rows are being gathered
+        lines, counts = 0, []  # lines: in the ranges gathered so far
         try:
-            table = _parse_rows(path, cuts[0], cuts[1], d, k)
-            counts = []
-            for at, pipe in zip(cuts[1:], pipes):
-                counts.append(_receive(pipe))
+            table, lines = _parse_rows(path, cuts[0], cuts[1], d, k)
+            for pipe in pipes:
+                count, more = _receive(pipe)
+                counts.append(count)
+                lines += more
         except _BadLine as bad:
             index, message = bad.args
-            lineno = 2 + _line_ends(path, start, at) + index
-            raise ValueError(f"{path}: line {lineno}: {message}") from None
+            raise ValueError(f"{path}: line {2 + lines + index}: {message}") from None
         rows = table.shape[0]
         if counts:
             # grow in place (the array is fresh from the parse, so no view of it
@@ -413,16 +417,17 @@ def _body_cuts(path, start: int) -> list:
     return cuts[:1] + sorted(set(cuts[1:]) | {size})
 
 
-def _parse_rows(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
-    """The rows in bytes [start, stop): the decimal kernel's if it reads every
-    cell and they pass the checks, else _parse_lines's. The kernel reads
-    exactly the values np.loadtxt reads, so the rows do not depend on which
-    of the two reads them."""
+def _parse_rows(path, start: int, stop: int, d: int, k: int):
+    """(rows, lines) of bytes [start, stop): the decimal kernel's rows if it
+    reads every cell and they pass the checks, else _parse_lines's. The kernel
+    reads exactly the values np.loadtxt reads, so the rows do not depend on
+    which of the two reads them; it reads a range only when each line is a
+    row, so there its lines are its rows."""
     with open(path, "rb") as raw:
         table = _read_decimal(raw, start, stop, d + k)
     if table is not None:
         try:
-            return _checked_rows(table, d, k)
+            return _checked_rows(table, d, k), table.shape[0]
         except ValueError:
             pass
     return _parse_lines(path, start, stop, d, k)
@@ -556,7 +561,7 @@ def _decimal_block(buf: bytearray, size: int, w: int) -> np.ndarray | None:
         at, found = 24, []
         while (at := buf.find(b"e", at, 24 + size) + 1) > 0:
             found.append(at - 1)
-        for i in np.unique(np.searchsorted(ends, found, side="right")).tolist():
+        for i in dict.fromkeys(np.searchsorted(ends, found, side="right").tolist()):
             cell = buf[starts[i]:ends[i]]
             if not _EXPONENT_CELL.fullmatch(cell):
                 return None
@@ -606,12 +611,12 @@ class _BadLine(Exception):
     """args: (the bad line's index from its range's first line, what is wrong)."""
 
 
-def _parse_lines(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
-    """The rows in bytes [start, stop) as a parse of one line at a time reads
-    them, cells maybe quoted; blocks of lines (16 KiB) the bulk parse accepts
-    are taken whole. The range is read as text whose lines end at `\\r\\n`,
-    `\\r` or `\\n`; a byte that is not UTF-8 reads as a lone surrogate.
-    _BadLine at the first line this rejects."""
+def _parse_lines(path, start: int, stop: int, d: int, k: int):
+    """(rows, lines) of bytes [start, stop), the rows as a parse of one line at
+    a time reads them, cells maybe quoted; blocks of lines (16 KiB) the bulk
+    parse accepts are taken whole. The range is read as text whose lines end
+    at `\\r\\n`, `\\r` or `\\n`; a byte that is not UTF-8 reads as a lone
+    surrogate. _BadLine at the first line this rejects."""
     blocks, index = [], 0
     with open(path, "rb") as raw, io.TextIOWrapper(
             io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
@@ -622,7 +627,7 @@ def _parse_lines(path, start: int, stop: int, d: int, k: int) -> np.ndarray:
             except ValueError:
                 blocks.extend(_line_row(line, index + i, d, k) for i, line in enumerate(lines))
             index += len(lines)
-    return np.concatenate(blocks) if blocks else np.empty((0, d + k))
+    return (np.concatenate(blocks) if blocks else np.empty((0, d + k))), index
 
 
 def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
@@ -656,8 +661,8 @@ def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
 
 
 def _send_rows(path, start: int, stop: int, d: int, k: int):
-    table = _parse_rows(path, start, stop, d, k)
-    return table.shape[0], memoryview(table).cast("B")
+    table, lines = _parse_rows(path, start, stop, d, k)
+    return (table.shape[0], lines), memoryview(table).cast("B")
 
 
 class _ByteRange(io.RawIOBase):
@@ -749,20 +754,6 @@ def _receive(pipe):
     return meta
 
 
-def _line_ends(path, start: int, stop: int) -> int:
-    """How many lines end in bytes [start, stop), split as _parse_lines
-    splits them: each `\\r\\n`, `\\r` and `\\n` ends one."""
-    ends, last = 0, b""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        for at in range(start, stop, 1 << 20):
-            chunk = fh.read(min(1 << 20, stop - at))
-            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            ends -= last == b"\r" and chunk[:1] == b"\n"  # a \r\n split between reads
-            last = chunk[-1:]
-    return ends
-
-
 def split(dataset: Dataset, spec: SplitSpec):
     """Stratified, seeded train/validation split.
 
@@ -776,7 +767,7 @@ def split(dataset: Dataset, spec: SplitSpec):
     classes = dataset.class_indices()
     train_idx, val_idx = [], []
     exhaustive = abs(spec.train_fraction + spec.val_fraction - 1.0) <= 1e-12
-    for c in np.unique(classes):
+    for c in np.flatnonzero(np.bincount(classes)):
         rows = np.nonzero(classes == c)[0]
         rows = rng.permutation(rows)
         n_train = int(round(spec.train_fraction * rows.size))

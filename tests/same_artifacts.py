@@ -20,8 +20,13 @@ output paths:
 Every file they write is compared: one line per artifact with its sha256
 here, and `match` or `DIFFER`. Manifests are compared as JSON without
 `wall_clock_sec`. Each command's peak RSS in both trees (the child's
-`ru_maxrss` from `os.wait4`) is printed too, for information only. Exits 1
-on any difference or failed command, else 0.
+`ru_maxrss` from `os.wait4`) is printed too, for information only.
+
+A second list of commands is expected to fail, on inputs this script writes:
+`eval` on a 10,000-row CSV with a bad row in its second half, then in its
+first half, and `train` with a config of several errors. Their exit codes and
+stderr are compared, one line each. Exits 1 on any difference, on a failed
+command of the first list or on a command of the second that succeeds, else 0.
 """
 
 from __future__ import annotations
@@ -81,12 +86,49 @@ COMMANDS = [
 OUTPUTS = [*(cfg["out_dir"] for cfg in CONFIGS.values()), "holdout", "eval", "k3", "cmp"]
 
 
-def run_commands(tree: Path, work: Path) -> list[float]:
-    """Run COMMANDS with `tree`'s package in `work` and return each one's peak RSS
-    in MB; raises on a failed command."""
+def bad_csv(bad_row: int, rows: int = 10000) -> str:
+    """A CSV for the reference model (d=10, K=2) whose row `bad_row` has a non-numeric cell."""
+    lines = [",".join([f"f{i}" for i in range(10)] + ["y0", "y1"])]
+    lines += [",".join(f"{(3 * i + j) % 17 - 8}.25" for j in range(10)) + (",1,0", ",0,1")[i % 2]
+              for i in range(rows)]
+    lines[1 + bad_row] = "x" + lines[1 + bad_row][1:]
+    return "\r\n".join(lines) + "\r\n"
+
+
+INPUTS = {
+    **{f"{name}.json": json.dumps(cfg) for name, cfg in CONFIGS.items()},
+    "bad_late.csv": bad_csv(9000),
+    "bad_early.csv": bad_csv(1000),
+    "errors.json": json.dumps({
+        "mode": "tedl", "stage1_epochs": -1, "lambda": "x", "batch_size": 0, "colour": "red",
+        "train_fraction": 0.9, "val_fraction": 0.2,
+        "dataset": {"kind": "blobs", "n": 100, "shape": "round"}}),
+}
+FAILING = [
+    ["eval", "--model", "ref/model.json", "--data", "bad_late.csv", "--out", "bad_late"],
+    ["eval", "--model", "ref/model.json", "--data", "bad_early.csv", "--out", "bad_early"],
+    ["train", "--config", "errors.json"],
+]
+
+
+def run(argv: list[str], work: Path, env: dict) -> tuple[int, bytes, float]:
+    """`evidential argv` run in `work`: its exit code, stderr and peak RSS in MB."""
+    with tempfile.TemporaryFile() as err:
+        child = subprocess.Popen([sys.executable, "-m", "evidential", *argv], cwd=work,
+                                 env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return child.returncode, err.read(), usage.ru_maxrss / 1024  # kB on Linux
+
+
+def run_commands(tree: Path, work: Path):
+    """Run COMMANDS, then FAILING, with `tree`'s package in `work`: each COMMANDS
+    one's peak RSS in MB, and each FAILING one's (exit code, stderr). Raises on a
+    failed COMMANDS one or a FAILING one that succeeds."""
     work.mkdir()
-    for name, cfg in CONFIGS.items():
-        (work / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    for name, text in INPUTS.items():
+        (work / name).write_text(text, encoding="utf-8", newline="")
     env = {key: value for key, value in os.environ.items() if key != "EVIDENTIAL_SEED"}
     env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -94,20 +136,19 @@ def run_commands(tree: Path, work: Path) -> list[float]:
                            cwd=work, env=env, capture_output=True, text=True, check=True)
     if not Path(where.stdout.strip()).is_relative_to(tree / "src"):
         raise RuntimeError(f"{tree}: imported evidential from {where.stdout.strip()}")
-    peaks = []
+    peaks, failures = [], []
     for argv in COMMANDS:
-        with tempfile.TemporaryFile() as err:
-            child = subprocess.Popen([sys.executable, "-m", "evidential", *argv], cwd=work,
-                                     env=env, stdout=subprocess.DEVNULL, stderr=err)
-            _, status, usage = os.wait4(child.pid, 0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-            if child.returncode != 0:
-                err.seek(0)
-                detail = err.read().decode(errors="replace").strip()
-                raise RuntimeError(f"{tree}: `evidential {' '.join(argv)}` exited "
-                                   f"{child.returncode}: {detail}")
-        peaks.append(usage.ru_maxrss / 1024)  # kB on Linux
-    return peaks
+        code, err, peak = run(argv, work, env)
+        if code != 0:
+            raise RuntimeError(f"{tree}: `evidential {' '.join(argv)}` exited {code}: "
+                               f"{err.decode(errors='replace').strip()}")
+        peaks.append(peak)
+    for argv in FAILING:
+        code, err, _ = run(argv, work, env)
+        if code == 0:
+            raise RuntimeError(f"{tree}: `evidential {' '.join(argv)}` did not fail")
+        failures.append((code, err))
+    return peaks, failures
 
 
 def digest(path: Path) -> str:
@@ -137,8 +178,8 @@ def main(argv: list[str]) -> int:
                                      capture_output=True, check=True).stdout
             (tmp / "rev").mkdir()
             subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
-            their_peaks = run_commands(tmp / "rev", tmp / "rev_work")
-            our_peaks = run_commands(HERE, tmp / "here_work")
+            their_peaks, their_failures = run_commands(tmp / "rev", tmp / "rev_work")
+            our_peaks, our_failures = run_commands(HERE, tmp / "here_work")
         except (RuntimeError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or b""
             print(f"error: {exc} {detail.decode(errors='replace').strip()}", file=sys.stderr)
@@ -152,6 +193,18 @@ def main(argv: list[str]) -> int:
               + ("" if same else f"  ({rev}: {theirs.get(name, 'missing')})"))
     print(f"{len(ours | theirs) - differ} of {len(ours | theirs)} artifacts byte-identical "
           f"to {rev}")
+    failed_alike = 0
+    for argv, (code, err), theirs_failure in zip(FAILING, our_failures, their_failures):
+        same = (code, err) == theirs_failure
+        failed_alike += same
+        print(f"{'match' if same else 'DIFFER'}  exit {code}  evidential {' '.join(argv)}")
+        if not same:
+            print(f"    here: {err.decode(errors='replace').strip()}\n"
+                  f"    {rev}: exit {theirs_failure[0]}, "
+                  f"{theirs_failure[1].decode(errors='replace').strip()}")
+    differ += len(FAILING) - failed_alike
+    print(f"{failed_alike} of {len(FAILING)} failing commands fail alike (exit code and stderr) "
+          f"in {rev}")
     print(f"peak RSS in MB, {rev} -> here:")
     for argv, theirs_mb, ours_mb in zip(COMMANDS, their_peaks, our_peaks):
         print(f"{theirs_mb:8.1f} -> {ours_mb:8.1f}  evidential {' '.join(argv)}")

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -84,11 +87,14 @@ CONFIG_ERRORS = {
     "compare_empty_lambdas": ["compare", "--data", "{data}", "--methods", "ce,edl",
                               "--lambdas", ","],
     "out_dir_empty": {"out_dir": ""},
+    "gen_seed_negative": ["gen", "--seed", "-1"],
+    "dataset_seed_negative": {"dataset": {"kind": "blobs", "n": 100, "seed": -1}},
 }
 
 
-@pytest.mark.parametrize("case", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
-def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, case):
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, name):
+    case = CONFIG_ERRORS[name]
     env, case = case if isinstance(case, tuple) else ({}, case)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -105,7 +111,10 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, case):
             cfg_path.write_text(case)
         argv = ["train", "--config", str(cfg_path)]
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if name in ("gen_seed_negative", "dataset_seed_negative"):  # not numpy's message
+        assert err == "error: dataset: seed must be >= 0\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
 
 
@@ -646,6 +655,36 @@ def test_sha256_streams_files_larger_than_a_chunk(tmp_path):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     assert cli._sha256(empty) == hashlib.sha256(b"").hexdigest()
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+from evidential.cli import main
+from evidential.data import gen_blobs, save_csv
+
+ds = gen_blobs(300, 2, 2, 6.0, seed=0)
+ds.features[0, 0] = 1e-7  # a cell in %.17g's exponent form
+save_csv(ds, "e.csv")
+with open("c.json", "w") as fh:
+    json.dump({"stage1_epochs": 1, "stage2_epochs": 1, "dataset_csv": "e.csv",
+               "out_dir": "run"}, fh)
+for argv in (["gen", "--n", "300", "--out", "g"], ["train", "--config", "c.json"],
+             ["eval", "--model", "run/model.json", "--data", "e.csv", "--out", "ev"],
+             ["compare", "--data", "e.csv", "--lambdas", "0.1", "--stage1-epochs", "1",
+              "--stage2-epochs", "1", "--out", "cmp"]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    # the first import of numpy.ma (np.unique does one) takes about 16 ms and 1 MB of memory
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert b"e-08," in (tmp_path / "e.csv").read_bytes()
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 class TestUsage:

@@ -91,6 +91,8 @@ class TestGenBlobs:
         for separation in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="separation must be finite and positive"):
                 gen_blobs(10, 2, 2, separation)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            gen_blobs(10, 2, 2, 1.0, seed=-1)
 
     def test_separation_is_pairwise_center_distance(self):
         ds = gen_blobs(10, 5, 3, separation=4.0, seed=0)
@@ -169,6 +171,8 @@ class TestGenOodRing:
         for radius in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="radius must be finite and positive"):
                 gen_ood_ring(10, 2, radius)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            gen_ood_ring(10, 2, 1.0, seed=-1)
 
     def test_determinism(self):
         a = gen_ood_ring(30, 4, 10.0, seed=9)
@@ -478,6 +482,26 @@ def test_decimal_kernel_declines_the_range(cell):
     assert _kernel_values([b"1.5", cell, b"-2"]) is None
 
 
+KERNEL_LINES = [b"1,1,0\r\n", b"2,0,1\n", b"3,0.5,0.5\r\n"]  # rows the decimal kernel reads
+# rows and blank lines ending in CRLF, LF and a lone CR, which the kernel declines
+DECLINED_LINES = [b"1,1,0\r\n", b"\r\n", b"2,0,1\r", b"\r", b"3,0.5,0.5\n", b"\n"]
+
+
+def _cycled_body(lines, count, across=None):
+    """`count` of `lines`, cycled; where `across` is given, with a row whose
+    \\r\\n falls across byte `across` put in at the last line start before it."""
+    cycled = [lines[i % len(lines)] for i in range(count)]
+    if across is not None:
+        at, size = 0, 0
+        while size + len(cycled[at]) <= across - 6:
+            size += len(cycled[at])
+            at += 1
+        cycled.insert(at, b"0" * (across - 6 - size) + b"1,1,0\r\n")  # zeros: its \r at across - 1
+    body = b"".join(cycled)
+    assert across is None or body[across - 1:across + 1] == b"\r\n"
+    return body
+
+
 class TestCsvContract:
     def _load(self, tmp_path, text):
         path = tmp_path / "d.csv"
@@ -572,17 +596,30 @@ class TestCsvContract:
             load_csv(path)
         assert str(err.value) == f"{path}: header must be f0..f{{d-1}},y0..y{{K-1}}"
 
-    @pytest.mark.parametrize("body", [
-        b"", b"1", b"\r", b"\n", b"\r\n", b"a\rb\nc\r\n\r\r\n\n\rd", b"\n\r" * 5,
-        b"x" * ((1 << 20) - 1) + b"\r\n1\r",  # a \r\n split between 1 MiB reads
-    ])
-    def test_line_ends_count_as_the_text_scan_splits(self, tmp_path, body):
-        path = tmp_path / "d.bin"
-        path.write_bytes(b"hdr\n" + body)
+    @pytest.mark.parametrize("lines, across, count, kernel", [
+        ([], None, 0, True),
+        ([b"1,1,0"], None, 1, True),  # a last line without an end
+        ([b"1,1,0\r"], None, 1, True),  # ... ending in a lone CR, which the kernel reads as CRLF
+        (KERNEL_LINES, None, 7, True),
+        (KERNEL_LINES, 16 * data._FORMAT_CELLS, 80000, True),  # across the kernel's buffer
+        ([b"\n"], None, 1, False), ([b"\r\n"], None, 1, False), ([b"\r"], None, 1, False),
+        ([b"\n\r"], None, 5, False),
+        (DECLINED_LINES, None, 8, False),
+        (DECLINED_LINES, 1 << 13, 4000, False),  # across the text reader's 8 KiB chunks
+    ], ids=["empty", "unended", "unended_cr", "crlf_lf", "crlf_lf_across_buffer", "lf", "crlf",
+            "cr", "lf_cr", "blank_and_lone_cr", "blank_and_lone_cr_across_chunk"])
+    def test_range_lines_count_as_the_text_scan_splits(self, tmp_path, lines, across, count,
+                                                       kernel):
+        body = _cycled_body(lines, count, across)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,y0,y1\n" + body)
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = list(fh)[1:]
-        ended = sum(1 for line in lines if line.endswith(("\r", "\n")))
-        assert data._line_ends(path, 4, len(body) + 4) == ended
+            scanned = list(fh)[1:]
+        with open(path, "rb") as raw:
+            assert (data._read_decimal(raw, 9, len(body) + 9, 3) is not None) == kernel
+        rows, counted = data._parse_rows(path, 9, len(body) + 9, 1, 2)
+        assert counted == len(scanned)
+        assert rows.shape == (sum(1 for line in scanned if line.strip("\r\n")), 3)
 
 
 def _ranged_dataset():
@@ -696,6 +733,34 @@ class TestCsvRanges:
         assert str(ranged.value) == expected
         assert len(forks) == ranges - 1
         _assert_clean(tmp_path, ["bad.csv"])
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("lines", [KERNEL_LINES, DECLINED_LINES], ids=["kernel", "declined"])
+    def test_bad_line_is_numbered_from_the_lines_of_earlier_ranges(self, tmp_path, monkeypatch,
+                                                                   ranges, lines):
+        # an 8 KiB kernel buffer, so that the first range's split \r\n falls across it as
+        # well as across the text reader's first chunk
+        monkeypatch.setattr(data, "_FORMAT_CELLS", 1 << 9)
+        header = b"f0,y0,y1\r\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(header + _cycled_body(lines, 2 * RANGED_ROWS, 1 << 13)
+                         + b"1,1,1")  # a bad last line without an end
+        with open(path, newline="", encoding="utf-8") as fh:
+            expected = f"{path}: line {len(list(fh))}: label row does not sum to 1"
+        with pytest.raises(ValueError) as serial:
+            _one_range(monkeypatch, load_csv, path)
+        assert str(serial.value) == expected
+        forks = _force_ranges(monkeypatch, ranges)
+        cuts = data._body_cuts(path, len(header))
+        assert len(cuts) == ranges + 1 and cuts[1] > len(header) + (1 << 13)
+        with open(path, "rb") as raw:  # every range before the last is read as `lines` says
+            read = [data._read_decimal(raw, a, b, 3) is not None for a, b in zip(cuts, cuts[1:-1])]
+        assert read == [lines is KERNEL_LINES] * (ranges - 1)
+        with pytest.raises(ValueError) as ranged:
+            load_csv(path)
+        assert str(ranged.value) == expected
+        assert len(forks) == ranges - 1
+        _assert_clean(tmp_path, ["d.csv"])
 
     @pytest.mark.parametrize("ranges", RANGE_CASES)
     @pytest.mark.parametrize("where", ["line_4", "first_line_of_last_range"])
