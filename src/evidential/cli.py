@@ -121,7 +121,7 @@ def load_model(path: Path) -> ndcore.Network:
     or version, is a ConfigError; a damaged one (not JSON, no payload or one
     without its parts, a checksum mismatch, or parts that do not make a
     network) is a RuntimeError naming it."""
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise ConfigError(f"model file not found: {path}")
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -193,19 +193,12 @@ def _coerce(key: str, value, kind: type):
     return coerced
 
 
-def _plan_from_config(cfg: dict) -> TrainPlan:
-    plan = TrainPlan(**{
-        f.name: _coerce(key, cfg[key], type(f.default))
-        for key, f in PLAN_FIELDS.items() if key in cfg
-    })
-    return replace(plan, seed=_env_seed(plan.seed))
-
-
 def _parse_config(cfg: dict):
     """(TrainPlan, SplitSpec) of a train config.
 
-    The plan and the split check their own values; every problem found
-    is listed in one ConfigError.
+    Each plan and split key converts on its own; the plan built from the
+    keys that converted and the split check their own values. Every
+    problem found is listed in one ConfigError.
     """
     errors = [f"unknown config key {key!r}" for key in sorted(set(cfg) - CONFIG_KEYS)]
     if ("dataset_csv" in cfg) == ("dataset" in cfg):
@@ -222,16 +215,24 @@ def _parse_config(cfg: dict):
     errors += [f"{key} must be a string" for key in ("out_dir", "dataset_csv")
                if not isinstance(cfg.get(key, ""), str)]
 
-    def attempt(build):
+    values = {}
+    kinds = ({key: type(f.default) for key, f in PLAN_FIELDS.items()}
+             | dict.fromkeys(SPLIT_KEYS, float))
+    for key in (key for key in kinds if key in cfg):
         try:
-            return build()
-        except ValueError as exc:  # ConfigError included
+            values[key] = _coerce(key, cfg[key], kinds[key])
+        except ConfigError as exc:
             errors.append(str(exc))
-
-    plan = attempt(lambda: _plan_from_config(cfg))
-    errors += plan.validate() if plan else []
-    spec = attempt(lambda: datamod.SplitSpec(
-        **{key: _coerce(key, cfg[key], float) for key in SPLIT_KEYS if key in cfg}))
+    plan = TrainPlan(**{f.name: values[key] for key, f in PLAN_FIELDS.items() if key in values})
+    try:
+        plan = replace(plan, seed=_env_seed(plan.seed))
+    except ConfigError as exc:
+        errors.append(str(exc))
+    errors += plan.validate()
+    try:
+        spec = datamod.SplitSpec(**{key: values[key] for key in SPLIT_KEYS if key in values})
+    except ValueError as exc:
+        errors.append(str(exc))
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     return plan, replace(spec, seed=plan.seed)
@@ -257,7 +258,7 @@ def _generate_dataset(params: dict):
 
 
 def _read_dataset(path: Path) -> datamod.Dataset:
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"dataset file not found: {path}")
     return datamod.load_csv(path)
 
@@ -316,7 +317,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg_path = Path(args.config)
-    if not cfg_path.exists():
+    if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {cfg_path}")
     try:
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))

@@ -14,7 +14,16 @@ from itertools import accumulate
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "elu", "identity")
+# name -> (value f(a), derivative f'(a, z) from the pre-activation a and the
+# value z = f(a)); identity's derivative is 1, so backward skips its None
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda a, z: 1.0 - z * z),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a, z: a > 0.0),  # a mask keeps or zeroes
+    "elu": (lambda a: np.where(a > 0.0, a, np.expm1(np.minimum(a, 0.0))),
+            lambda a, z: np.where(a > 0.0, 1.0, np.exp(np.minimum(a, 0.0)))),
+    "identity": (lambda a: a, None),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 HEADS = ("softmax", "relu_evidence", "elu_evidence", "identity")
 # An evidence head is the hidden activation of the same name on the logits.
 EVIDENCE_ACTIVATION = {"relu_evidence": "relu", "elu_evidence": "elu"}
@@ -40,31 +49,6 @@ def as_matrix(values) -> np.ndarray:
 def _require_finite(arr: np.ndarray, context: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite value in {context}")
-
-
-def _activate(tag: str, a: np.ndarray) -> np.ndarray:
-    if tag == "tanh":
-        return np.tanh(a)
-    if tag == "relu":
-        return np.maximum(a, 0.0)
-    if tag == "elu":
-        return np.where(a > 0.0, a, np.expm1(np.minimum(a, 0.0)))
-    if tag == "identity":
-        return a
-    raise ValueError(f"unknown activation {tag!r}")
-
-
-def _activate_grad(tag: str, a: np.ndarray, tanh_a: np.ndarray | None = None) -> np.ndarray:
-    if tag == "tanh":
-        t = np.tanh(a) if tanh_a is None else tanh_a
-        return 1.0 - t * t
-    if tag == "relu":
-        return a > 0.0  # a boolean mask: multiplying by it keeps or zeroes each entry
-    if tag == "elu":
-        return np.where(a > 0.0, 1.0, np.exp(np.minimum(a, 0.0)))
-    if tag == "identity":
-        return np.ones_like(a)
-    raise ValueError(f"unknown activation {tag!r}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -154,7 +138,7 @@ def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
     if head in EVIDENCE_ACTIVATION:
         # the clamp keeps ELU evidence strictly above -1 (alpha strictly
         # positive) even where expm1 rounds to -1; ReLU evidence is >= 0
-        return np.maximum(_activate(EVIDENCE_ACTIVATION[head], logits), -1.0 + 1e-15)
+        return np.maximum(_ACTIVATIONS[EVIDENCE_ACTIVATION[head]][0](logits), -1.0 + 1e-15)
     return logits
 
 
@@ -173,7 +157,7 @@ def _layer_pass(net: Network, x, keep: bool):
         a += layer.bias
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite pre-activation in layer {idx}")
-        z = _activate(layer.activation, a)
+        z = _ACTIVATIONS[layer.activation][0](a)
         if keep:
             pre.append(a)
             post.append(z)
@@ -216,7 +200,8 @@ def backward(net: Network, upstream, cache) -> np.ndarray:
         p = softmax(logits)
         g = p * (upstream - np.sum(upstream * p, axis=1, keepdims=True))
     elif net.head in EVIDENCE_ACTIVATION:
-        g = upstream * _activate_grad(EVIDENCE_ACTIVATION[net.head], logits)
+        # an evidence activation's derivative reads only the pre-activation
+        g = upstream * _ACTIVATIONS[EVIDENCE_ACTIVATION[net.head]][1](logits, None)
     else:
         g = upstream
 
@@ -224,8 +209,9 @@ def backward(net: Network, upstream, cache) -> np.ndarray:
     w_grads, b_grads = net.views(grad)
     for idx in reversed(range(len(net.layers))):
         layer = net.layers[idx]
-        if layer.activation != "identity":  # its derivative is 1
-            g = g * _activate_grad(layer.activation, pre[idx], post[idx])
+        derivative = _ACTIVATIONS[layer.activation][1]
+        if derivative is not None:
+            g = g * derivative(pre[idx], post[idx])
         inp = x if idx == 0 else post[idx - 1]
         np.matmul(inp.T, g, out=w_grads[idx])
         g.sum(axis=0, out=b_grads[idx])

@@ -151,6 +151,50 @@ def test_empty_output_path_exit_1_writes_nothing(tmp_path, capsys, monkeypatch, 
     assert list(cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["eval_model", "eval_data", "compare_data", "train_config",
+                                  "dataset_csv"])
+def test_directory_in_place_of_a_file_exit_1(tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    data = tmp_path / "data.csv"
+    save_csv(gen_blobs(60, 2, 2, 6.0, seed=0), data)
+    model = tmp_path / "model.json"
+    cli.save_model(ndcore.init_network([2, 3, 2], head="elu_evidence", seed=0), model)
+    cfg_path, _ = write_config(tmp_path, dataset=None, dataset_csv=str(folder))
+    out = tmp_path / "out"
+    argv, message = {
+        "eval_model": (["eval", "--model", folder, "--data", data, "--out", out], "model"),
+        "eval_data": (["eval", "--model", model, "--data", folder, "--out", out], "dataset"),
+        "compare_data": (["compare", "--data", folder, "--out", out], "dataset"),
+        "train_config": (["train", "--config", folder], "config"),
+        "dataset_csv": (["train", "--config", cfg_path], "dataset"),
+    }[case]
+    assert run_cli(*map(str, argv)) == 1
+    assert capsys.readouterr().err == f"error: {message} file not found: {folder}\n"
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
+# Each bad plan key of one config, with the messages it alone gives.
+BAD_PLAN_KEYS = {
+    "stage1_epochs": (-1, ["tedl needs stage1_epochs >= 1 and stage2_epochs >= 1",
+                           "epoch counts must be >= 0"]),
+    "batch_size": (0, ["batch_size must be >= 1"]),
+    "lambda": ("x", ["lambda must be float, got 'x'"]),
+}
+
+
+@pytest.mark.parametrize("keys", [[key] for key in BAD_PLAN_KEYS] + [list(BAD_PLAN_KEYS)],
+                         ids="-".join)
+def test_config_lists_every_bad_keys_messages(tmp_path, capsys, keys):
+    cfg_path, _ = write_config(tmp_path, **{key: BAD_PLAN_KEYS[key][0] for key in keys})
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: invalid config:"
+    assert sorted(line.strip() for line in err[1:]) == sorted(
+        message for key in keys for message in BAD_PLAN_KEYS[key][1])
+    assert not (tmp_path / "run").exists()
+
+
 def test_integral_floats_accepted(tmp_path):
     runs = []
     for name, batch, hidden in (("int", 64, [8]), ("float", 64.0, [8.0])):

@@ -123,10 +123,13 @@ class TestBackward:
         with pytest.raises(ValueError, match="upstream"):
             backward(net, np.zeros((4, 3)), forward_with_cache(net, np.zeros((4, 3)))[1])
 
-    @pytest.mark.parametrize("head", ["softmax", "relu_evidence", "elu_evidence", "identity"])
-    def test_finite_difference_all_heads(self, head):
+    # a case with the default hidden activation, tanh, is named by its head alone
+    @pytest.mark.parametrize("activation, head", [
+        pytest.param(act, head, id=head if act == "tanh" else f"{head}-{act}")
+        for head in ndcore.HEADS for act in ndcore.ACTIVATIONS])
+    def test_finite_difference_all_heads(self, activation, head):
         rng = np.random.default_rng(7)
-        net = init_network([3, 5, 2], head=head, seed=7)
+        net = init_network([3, 5, 2], hidden_activation=activation, head=head, seed=7)
         x = rng.standard_normal((4, 3))
         upstream = rng.standard_normal((4, 2))
 
@@ -155,13 +158,27 @@ class TestBackward:
         assert worst < 1e-4
 
 
+def reference_derivative(activation, pre):
+    """An activation's derivative at the pre-activation `pre`, written out
+    here rather than read from ndcore's table."""
+    if activation == "tanh":
+        t = np.tanh(pre)
+        return 1.0 - t * t
+    if activation == "relu":
+        return pre > 0.0
+    if activation == "elu":
+        return np.where(pre > 0.0, 1.0, np.exp(np.minimum(pre, 0.0)))
+    assert activation == "identity"
+    return 1.0
+
+
 def reference_gradients(net, x, upstream):
     """Per-layer `inp.T @ g` and `g.sum(axis=0)` as separate arrays, for an
     identity head: every weight gradient, then every bias gradient."""
     _, (x, pre, post) = ndcore.forward_with_cache(net, x)
     g, w_grads, b_grads = upstream, [], []
     for idx in reversed(range(len(net.layers))):
-        g = g * ndcore._activate_grad(net.layers[idx].activation, pre[idx])
+        g = g * reference_derivative(net.layers[idx].activation, pre[idx])
         inp = x if idx == 0 else post[idx - 1]
         w_grads.insert(0, inp.T @ g)
         b_grads.insert(0, g.sum(axis=0))
