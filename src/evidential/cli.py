@@ -35,6 +35,7 @@ METHOD_MODES = {"ce": "ce_only", "edl": "edl_only", "tedl": "tedl"}  # compare's
 # Generator parameters: the `gen` flags and a config's `dataset` block.
 GEN_DEFAULTS = {"kind": "blobs", "n": 1000, "d": 2, "k": 2, "sep": 4.0, "noise": 0.0,
                 "soft": False, "radius": 100.0, "seed": 0}
+GEN_KINDS = {key: type(default) for key, default in GEN_DEFAULTS.items()}
 
 
 class ConfigError(ValueError):
@@ -193,21 +194,35 @@ def _coerce(key: str, value, kind: type):
     return coerced
 
 
-def _parse_config(cfg: dict):
-    """(TrainPlan, SplitSpec) of a train config.
+def _convert(values: dict, kinds: dict):
+    """Each key of `kinds` in `values`, converted on its own to its kind,
+    and the message of each that does not convert."""
+    converted, errors = {}, []
+    for key in (key for key in kinds if key in values):
+        try:
+            converted[key] = _coerce(key, values[key], kinds[key])
+        except ConfigError as exc:
+            errors.append(str(exc))
+    return converted, errors
 
-    Each plan and split key converts on its own; the plan built from the
-    keys that converted and the split check their own values. Every
-    problem found is listed in one ConfigError.
+
+def _parse_config(cfg: dict):
+    """(TrainPlan, SplitSpec, generator parameters or None) of a train config.
+
+    Each plan, split and `dataset` key converts on its own; the plan built
+    from the keys that converted and the split check their own values.
+    Every problem found is listed in one ConfigError.
     """
     errors = [f"unknown config key {key!r}" for key in sorted(set(cfg) - CONFIG_KEYS)]
     if ("dataset_csv" in cfg) == ("dataset" in cfg):
         errors.append("exactly one of dataset_csv or dataset is required")
-    gen = cfg.get("dataset", {})
-    if not isinstance(gen, dict):
+    gen = cfg.get("dataset")
+    if "dataset" in cfg and not isinstance(gen, dict):
         errors.append("dataset must be an object")
-    else:
+    elif gen is not None:
         errors += [f"unknown dataset key {key!r}" for key in sorted(set(gen) - set(GEN_DEFAULTS))]
+        gen, bad = _convert(GEN_DEFAULTS | gen, GEN_KINDS)
+        errors += [f"dataset: {message}" for message in bad]
     if "out_dir" not in cfg:
         errors.append("out_dir is required")
     elif cfg["out_dir"] == "":
@@ -215,14 +230,9 @@ def _parse_config(cfg: dict):
     errors += [f"{key} must be a string" for key in ("out_dir", "dataset_csv")
                if not isinstance(cfg.get(key, ""), str)]
 
-    values = {}
-    kinds = ({key: type(f.default) for key, f in PLAN_FIELDS.items()}
-             | dict.fromkeys(SPLIT_KEYS, float))
-    for key in (key for key in kinds if key in cfg):
-        try:
-            values[key] = _coerce(key, cfg[key], kinds[key])
-        except ConfigError as exc:
-            errors.append(str(exc))
+    values, bad = _convert(cfg, {key: type(f.default) for key, f in PLAN_FIELDS.items()}
+                           | dict.fromkeys(SPLIT_KEYS, float))
+    errors += bad
     plan = TrainPlan(**{f.name: values[key] for key, f in PLAN_FIELDS.items() if key in values})
     try:
         plan = replace(plan, seed=_env_seed(plan.seed))
@@ -235,15 +245,13 @@ def _parse_config(cfg: dict):
         errors.append(str(exc))
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    return plan, replace(spec, seed=plan.seed)
+    return plan, replace(spec, seed=plan.seed), gen
 
 
 def _generate_dataset(params: dict):
-    """Dataset from generator parameters over GEN_DEFAULTS, and the
-    resolved parameters (seed after the EVIDENTIAL_SEED override)."""
-    p = {key: _coerce(key, params.get(key, default), type(default))
-         for key, default in GEN_DEFAULTS.items()}
-    p["seed"] = _env_seed(p["seed"])
+    """Dataset from converted generator parameters, and those parameters
+    with the seed after the EVIDENTIAL_SEED override."""
+    p = dict(params, seed=_env_seed(params["seed"]))
     try:
         if p["kind"] == "blobs":
             ds = datamod.gen_blobs(p["n"], p["d"], p["k"], p["sep"], label_noise=p["noise"],
@@ -302,7 +310,10 @@ def _emit_run_artifacts(result: RunResult, out_dir: Path) -> dict:
 # --------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
-    ds, params = _generate_dataset({key: getattr(args, key) for key in GEN_DEFAULTS})
+    params, errors = _convert(vars(args), GEN_KINDS)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    ds, params = _generate_dataset(params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{ds.name}.csv"
@@ -325,10 +336,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{cfg_path}: malformed JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{cfg_path}: config must be a JSON object")
-    plan, spec = _parse_config(cfg)
+    plan, spec, gen = _parse_config(cfg)
     started = time.time()
-    dataset = (_read_dataset(Path(cfg["dataset_csv"])) if "dataset_csv" in cfg
-               else _generate_dataset(cfg["dataset"])[0])
+    dataset = (_read_dataset(Path(cfg["dataset_csv"])) if gen is None
+               else _generate_dataset(gen)[0])
     pair = datamod.split(dataset, spec)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -121,34 +121,22 @@ def make_alpha_tilde(alpha, y):
     return _alpha_tilde(alpha, y)
 
 
-# The kernel's ln Gamma, digamma and trigamma at 1 (ln Gamma(1) is exactly 0.0).
-_AT_ONE = _gamma_rows(np.ones(1))[:, :, None]
-
-
 def _kl_uniform(at: np.ndarray):
     n, k = at.shape
     st = at.sum(axis=1)
-    # One special-function pass over the entries other than 1, S_tilde and K.
-    # An entry of exactly 1 (every true class of alpha_tilde) takes the
-    # kernel's values at 1, so every result keeps the bits of a pass over all
-    # entries; its weight alpha_tilde - 1 is exactly 0 in any case.
-    free = at != 1.0
-    kept = at[free]
-    m = kept.size
-    terms = _gamma_rows(np.concatenate([kept, st, [float(k)]]), "kl_to_uniform")
-    lg, dg, tg = terms
-    full = np.empty((3, n, k))
-    full[...] = _AT_ONE
-    full[:, free] = terms[:, :m]
+    # One special-function pass over every entry of alpha_tilde, S_tilde and K.
+    terms = _gamma_rows(np.concatenate([at.ravel(), st, [float(k)]]), "kl_to_uniform")
+    full = terms[:, :n * k].reshape(3, n, k)
+    lg, dg, tg = terms[:, n * k:]
     weight = at - 1.0
     per_sample = (
-        lg[m:-1]
+        lg[:-1]
         - lg[-1]
         - full[0].sum(axis=1)
-        + (weight * (full[1] - dg[m:-1][:, None])).sum(axis=1)
+        + (weight * (full[1] - dg[:-1][:, None])).sum(axis=1)
     )
     value = float(per_sample.mean())
-    grad = (weight * full[2] - ((st - k) * tg[m:-1])[:, None]) / n
+    grad = (weight * full[2] - ((st - k) * tg[:-1])[:, None]) / n
     return value, grad
 
 

@@ -30,7 +30,6 @@ _SERIES_COEFFS = np.array([
 _SIGNED_COEFFS = _SERIES_COEFFS * np.array([1.0, -1.0, 1.0])[:, None]
 
 _SHIFT_THRESHOLD = 10.0
-_SHIFTS = 10  # after ten unit shifts any positive argument exceeds the threshold
 _PASS = 4096  # most values per pass
 _COLUMNS = np.arange(3 * _PASS)
 

@@ -74,8 +74,8 @@ def kl_uniform_full_pass(at: np.ndarray):
     """`losses._kl_uniform` as one special-function pass over every entry of
     alpha_tilde, S_tilde and K: (batch mean, gradient w.r.t. alpha_tilde).
 
-    The kernel, which leaves the entries equal to 1 out of its pass, must
-    match it bit for bit.
+    An independent, written-out reference: the kernel must match it bit for
+    bit.
     """
     n, k = at.shape
     st = at.sum(axis=1)

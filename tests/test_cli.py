@@ -1,6 +1,7 @@
 """CLI surface: gen / train / eval / compare, exit codes and artifacts."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidential import cli, metrics, ndcore
+from evidential import cli, losses, metrics, ndcore
 from evidential.cli import main
 from evidential.data import gen_blobs, load_csv, save_csv
 from evidential.train import TrainingError
@@ -89,6 +90,32 @@ CONFIG_ERRORS = {
     "out_dir_empty": {"out_dir": ""},
     "gen_seed_negative": ["gen", "--seed", "-1"],
     "dataset_seed_negative": {"dataset": {"kind": "blobs", "n": 100, "seed": -1}},
+    "mode_both": {"mode": "both"},
+    "lambda_negative": {"lambda": -0.5},
+    "optimizer_rmsprop": {"optimizer": "rmsprop"},
+    "lr_stage2_negative": {"lr_stage2": -1},
+    "evidence_head_softplus": {"evidence_head_stage2": "softplus"},
+    "init_mode_zeros": {"init_mode": "zeros"},
+    "hidden_activation_sigmoid": {"hidden_activation": "sigmoid"},
+    "hidden_size_zero": {"hidden_sizes": [0]},
+}
+
+# The message line each of these cases prints (after "error:" or the
+# "invalid config:" indent).
+CONFIG_MESSAGES = {
+    "gen_n_fractional": "n must be int, got '12.5'",
+    "lambda_nan": "lambda and learning rates must be finite",
+    "lambda_infinite": "lambda and learning rates must be finite",
+    "lr_stage1_infinite": "lambda and learning rates must be finite",
+    "seed_negative": "seed must be >= 0",
+    "mode_both": "mode must be ce_only, edl_only or tedl, got 'both'",
+    "lambda_negative": "lambda must be >= 0",
+    "optimizer_rmsprop": "optimizer must be adam or sgd, got 'rmsprop'",
+    "lr_stage2_negative": "learning rates must be >= 0",
+    "evidence_head_softplus": "evidence_head_stage2 must be relu_evidence or elu_evidence",
+    "init_mode_zeros": "init_mode must be standard or hostile, got 'zeros'",
+    "hidden_activation_sigmoid": "unknown hidden activation 'sigmoid'",
+    "hidden_size_zero": "hidden sizes must be >= 1",
 }
 
 
@@ -115,6 +142,9 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch, name):
     assert err.startswith("error:")
     if name in ("gen_seed_negative", "dataset_seed_negative"):  # not numpy's message
         assert err == "error: dataset: seed must be >= 0\n"
+    if name in CONFIG_MESSAGES:
+        lines = [line.removeprefix("error:").strip() for line in err.splitlines()]
+        assert CONFIG_MESSAGES[name] in lines
     assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
 
 
@@ -193,6 +223,36 @@ def test_config_lists_every_bad_keys_messages(tmp_path, capsys, keys):
     assert sorted(line.strip() for line in err[1:]) == sorted(
         message for key in keys for message in BAD_PLAN_KEYS[key][1])
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cfg, messages", [
+    ({"batch_size": 0, "dataset": {"n": "many"}},
+     ["dataset: n must be int, got 'many'", "batch_size must be >= 1"]),
+    ({"dataset": {"n": "many", "d": "x"}},
+     ["dataset: n must be int, got 'many'", "dataset: d must be int, got 'x'"]),
+], ids=["with_batch_size", "two_dataset_keys"])
+def test_config_lists_every_dataset_message(tmp_path, capsys, cfg, messages):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(cfg, out_dir=str(tmp_path / "run"))))
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: invalid config:"
+    assert sorted(line.strip() for line in err[1:]) == sorted(messages)
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_finite_stage2_loss_exit_2(tmp_path, capsys, monkeypatch):
+    real = losses._edl_total
+
+    def nan_total(out, y, y_hard, lambda_t):
+        loss, grad = real(out, y, y_hard, lambda_t)
+        return dataclasses.replace(loss, total=float("nan")), grad
+
+    monkeypatch.setattr(losses, "_edl_total", nan_total)
+    cfg_path, _ = write_config(tmp_path, stage1_epochs=1, stage2_epochs=1)
+    assert run_cli("train", "--config", str(cfg_path)) == 2
+    assert capsys.readouterr().err == (
+        "runtime failure: non-finite loss at stage2 epoch 0, batch 0\n")
 
 
 def test_integral_floats_accepted(tmp_path):

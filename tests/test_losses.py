@@ -231,8 +231,8 @@ def _same_bits(a, b):
 
 
 class TestKlPassBits:
-    """The KL kernel leaves every entry equal to 1 out of its special-function
-    pass; its value and gradient keep the bits of a pass over every entry."""
+    """The KL kernel's value and gradient keep the bits of the written-out
+    reference pass over every entry of alpha_tilde, S_tilde and K."""
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     @pytest.mark.parametrize("labels", ["hard", "soft"])
@@ -269,7 +269,9 @@ class TestKlPassBits:
         assert _same_bits(value, want_value)
         assert _same_bits(grad, want_grad)
 
-    def test_pass_holds_only_entries_other_than_one(self, monkeypatch):
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("head", ["relu_evidence", "elu_evidence"])
+    def test_pass_holds_every_entry(self, monkeypatch, k, head):
         seen = []
         real = losses._gamma_rows
 
@@ -278,10 +280,17 @@ class TestKlPassBits:
             return real(flat, name)
 
         monkeypatch.setattr(losses, "_gamma_rows", gamma_rows)
-        alpha = np.random.default_rng(5).random((128, 2)) + 1.5
-        y = onehot(np.arange(128) % 2, 2)
-        losses._kl_uniform(losses._alpha_tilde(alpha, y))
-        assert seen == [257]  # 128 off-true-class entries, 128 S_tilde and K
+        rng = np.random.default_rng(5)
+        n = 128
+        logits = rng.normal(0.0, 2.0, (n, k))
+        evidence = (np.maximum(logits, 0.0) if head == "relu_evidence"
+                    else np.where(logits > 0.0, logits, np.expm1(np.minimum(logits, 0.0))))
+        y_hard = onehot(np.arange(n) % k, k)
+        at = losses._alpha_tilde(evidence_to_alpha(evidence, head).alpha, y_hard)
+        if head == "relu_evidence":
+            assert ((at == 1.0) & (y_hard == 0.0)).any()  # off-true-class evidence of exactly 0
+        losses._kl_uniform(at)
+        assert seen == [n * k + n + 1]  # every entry, each row's S_tilde and K
 
 
 class TestTotalLoss:

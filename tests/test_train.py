@@ -21,6 +21,7 @@ from evidential.train import (
     OptimizerState,
     TrainPlan,
     TrainingError,
+    _run_stage,
     build_network,
     run_plan,
     step,
@@ -493,6 +494,21 @@ class TestRunPlan:
                 if isinstance(v, float):
                     assert np.isfinite(v)
             assert 0.0 <= rec.dead_evidence_frac <= 1.0
+
+
+def test_non_finite_loss_raises_before_backward_and_step():
+    pair = easy_pair()
+    plan = TrainPlan(mode="edl_only", stage2_epochs=1, seed=0)
+    net = ndcore.swap_head(build_network(plan, 2, 2), plan.evidence_head_stage2)
+    before = net.theta.copy()
+
+    def nan_loss(output, rows, lambda_t):  # a gradient that would move theta
+        return losses.LossValue(total=float("nan"), base=0.0, kl=0.0), np.ones_like(output)
+
+    with pytest.raises(TrainingError, match=r"^non-finite loss at stage2 epoch 0, batch 0$"):
+        _run_stage(net, net, pair, plan, nan_loss, stage=2, learning_rate=plan.lr_stage2,
+                   epochs=1, lam=plan.lam, epoch_offset=0, method="edl")
+    assert np.array_equal(net.theta, before)
 
 
 def _stage2_loss_fn(monkeypatch, pair, plan):
