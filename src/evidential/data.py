@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import os
 import pickle
 import re
@@ -236,21 +235,28 @@ def save_csv(dataset: Dataset, path) -> None:
     formats its range into an unnamed temporary file in `path`'s directory,
     opened before the fork and appended in order, so the bytes do not
     depend on the range count and no spill file is ever named beside `path`.
+    If anything fails, `path` is removed, so no partial table is left.
     """
     table = np.hstack([dataset.features, dataset.labels])
     bounds = _row_bounds(table.shape[0])
-    with contextlib.ExitStack() as stack:
-        spills = [stack.enter_context(tempfile.TemporaryFile(
-            dir=os.path.dirname(os.path.abspath(path)))) for _ in bounds[2:]]
-        jobs = [functools.partial(_write_spill, table[a:b], spill)
-                for a, b, spill in zip(bounds[1:], bounds[2:], spills)]
-        with _children(jobs) as pipes, open(path, "wb") as fh:
-            fh.write((",".join(_header(dataset.dim, dataset.class_count)) + "\r\n").encode())
-            _write_rows(fh, table[bounds[0]:bounds[1]])
-            for pipe, spill in zip(pipes, spills):
-                _receive(pipe)
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh, 1 << 20)
+    with open(path, "wb") as fh:
+        try:
+            with contextlib.ExitStack() as stack:
+                spills = [stack.enter_context(tempfile.TemporaryFile(
+                    dir=os.path.dirname(os.path.abspath(path)))) for _ in bounds[2:]]
+                pipes = stack.enter_context(_children(
+                    functools.partial(_write_spill, table[a:b], spill)
+                    for a, b, spill in zip(bounds[1:], bounds[2:], spills)))
+                fh.write((",".join(_header(dataset.dim, dataset.class_count)) + "\r\n").encode())
+                _write_rows(fh, table[bounds[0]:bounds[1]])
+                for pipe, spill in zip(pipes, spills):
+                    _receive(pipe)
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fh, 1 << 20)
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _header(d: int, k: int) -> list:
@@ -347,15 +353,16 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv; errors name the file and the 1-based line.
 
     The body is cut at line ends into ranges (see _row_bounds), parsed in
-    forked children and gathered in order. A numpy decimal kernel reads a
-    range whose lines end in \\n or \\r\\n and hold d + K cells, each
+    forked children and gathered in order. Each range is read once, in
+    blocks of whole lines (see _parse_rows). A numpy decimal kernel reads a
+    block whose lines end in \\n or \\r\\n and hold d + K cells, each
     `-?digits[.digits]` of at most 24 bytes with fewer than 19 significant
     digits, or in `%.17g`'s exponent form (read by float()): every cell
-    save_csv writes. Any other range, or one whose rows fail the checks, goes
-    to _parse_lines, and the kernel reads exactly the doubles np.loadtxt
-    reads. The first bad line of the first range with one is named, numbered
-    from the lines of the ranges before it, so rows and messages do not depend
-    on the cuts.
+    save_csv writes. From the first block it declines, or whose rows fail
+    the checks, _parse_lines reads the range, and the kernel reads exactly
+    the doubles np.loadtxt reads. The first bad line of the first range
+    with one is named, numbered from the lines of the ranges before it, so
+    rows and messages do not depend on the cuts.
     """
     with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         line = fh.readline()
@@ -418,19 +425,54 @@ def _body_cuts(path, start: int) -> list:
 
 
 def _parse_rows(path, start: int, stop: int, d: int, k: int):
-    """(rows, lines) of bytes [start, stop): the decimal kernel's rows if it
-    reads every cell and they pass the checks, else _parse_lines's. The kernel
-    reads exactly the values np.loadtxt reads, so the rows do not depend on
-    which of the two reads them; it reads a range only when each line is a
-    row, so there its lines are its rows."""
+    """(rows, lines) of bytes [start, stop), read once in blocks of about
+    _FORMAT_CELLS cells cut after a line end, in one buffer: 24 pad bytes, so
+    that every cell's 24-byte window lies inside it, then the block. A `\\r`
+    that is the buffer's last byte may start a `\\r\\n`, so no cut follows it
+    while bytes remain; a buffer with no line end doubles. The decimal kernel
+    reads each block (a last line without a line end is ended for it) up to
+    the first it declines or whose rows fail the checks; _parse_lines reads
+    that block and the rest. The kernel reads the values np.loadtxt reads, and
+    only blocks whose lines are rows, so rows and line numbers do not depend
+    on which of the two reads a block."""
+    w = d + k
+    cap = max(16 * _FORMAT_CELLS, 25 * w + 1)
+    buf = bytearray(24 + cap + 1)
+    table, rows, lines, done, held, left = np.empty((0, w)), 0, 0, 0, 0, stop - start
+    kernel = True
     with open(path, "rb") as raw:
-        table = _read_decimal(raw, start, stop, d + k)
-    if table is not None:
-        try:
-            return _checked_rows(table, d, k), table.shape[0]
-        except ValueError:
-            pass
-    return _parse_lines(path, start, stop, d, k)
+        raw.seek(start)
+        while held or left:
+            if held == cap:
+                buf, cap = buf + bytes(cap), 2 * cap
+            with memoryview(buf) as view:
+                got = raw.readinto(view[24 + held:24 + min(cap, held + left)])
+            left = left - got if got else 0
+            size = held + got
+            end = max(buf.rfind(b"\n", 24, 24 + size),
+                      buf.rfind(b"\r", 24, 23 + size)) - 23 if left else size
+            if end <= 0:  # no line end yet: read on, into a doubled buffer if this one is full
+                held = size
+                continue
+            if kernel:
+                buf[24 + size] = 10  # past the held bytes: a last line's end, for the kernel
+                try:
+                    block = _decimal_block(buf, end + (not left and buf[23 + end] != 10), w)
+                    block, count = _checked_rows(block, d, k), block.shape[0]
+                except ValueError:
+                    kernel = False
+            if not kernel:
+                block, count = _parse_lines(buf[24:24 + end], lines, d, k)
+            need, lines, done = rows + block.shape[0], lines + count, done + end
+            if need > table.shape[0]:  # room for the range at the rows per byte so far, 1/16 more
+                grown = np.empty((max(need, need * (stop - start) * 17 // (16 * done)), w))
+                grown[:rows] = table[:rows]
+                table = grown
+            table[rows:need], rows = block, need
+            held = size - end
+            buf[24:24 + held] = buf[24 + end:24 + size]
+    table.resize((rows, w), refcheck=False)  # in place; no view of it exists
+    return table, lines
 
 
 def _bulk_rows(lines: list, d: int, k: int) -> np.ndarray:
@@ -452,48 +494,9 @@ def _checked_rows(table: np.ndarray, d: int, k: int) -> np.ndarray:
     return table
 
 
-def _read_decimal(raw, start: int, stop: int, w: int) -> np.ndarray | None:
-    """The rows of w cells in bytes [start, stop) of the binary file `raw`, as
-    _decimal_block reads them, or None once a block declines.
-
-    The range is read in blocks of whole lines, about _FORMAT_CELLS cells
-    each, into one buffer kept for the range: 24 pad bytes, so that every
-    cell's 24-byte window lies inside it, then the block. The bytes of a
-    line cut by the buffer's end move to its front for the next block. A
-    last line without a line end gets one; one line longer than the buffer
-    declines, as no row of w cells of at most 24 bytes is that long.
-    """
-    cap = max(16 * _FORMAT_CELLS, 25 * w + 1)
-    buf = bytearray(24 + cap + 1)
-    view = memoryview(buf)
-    table, rows, done, held, left = np.empty((0, w)), 0, 0, 0, stop - start
-    raw.seek(start)
-    while held or left:
-        got = raw.readinto(view[24 + held:24 + held + min(cap - held, left)])
-        left = left - got if got else 0
-        size = held + got
-        end = buf.rfind(b"\n", 24, 24 + size) - 23
-        if not left and end < size:
-            buf[24 + size] = 10
-            size = end = size + 1
-        block = _decimal_block(buf, end, w) if end > 0 else None
-        if block is None:
-            return None
-        need, done = rows + block.shape[0], done + end
-        if need > table.shape[0]:  # room for the range at the rows per byte so far, 1/16 more
-            grown = np.empty((max(need, need * (stop - start) * 17 // (16 * done)), w))
-            grown[:rows] = table[:rows]
-            table = grown
-        table[rows:need], rows = block, need
-        held = size - end
-        buf[24:24 + held] = buf[24 + end:24 + size]
-    table.resize((rows, w), refcheck=False)  # in place; no view of it exists
-    return table
-
-
-def _decimal_block(buf: bytearray, size: int, w: int) -> np.ndarray | None:
+def _decimal_block(buf: bytearray, size: int, w: int) -> np.ndarray:
     """The (rows, w) values of the whole lines in buf[24:24 + size], each
-    value exactly the double np.loadtxt reads, or None unless
+    value exactly the double np.loadtxt reads; ValueError unless
     every line is w cells, each `-?digits[.digits]` with digits on both sides
     of the point, at most 24 bytes and a significand m below 10**18, or in
     %.17g's exponent form, which float() reads as np.loadtxt does. Lines end
@@ -515,19 +518,20 @@ def _decimal_block(buf: bytearray, size: int, w: int) -> np.ndarray | None:
     ends = np.flatnonzero((data == 44) | (data == 10)) + 24  # a cell ends at its separator
     rows = ends.size // w
     lines = ends[w - 1::w]
-    if ends.size != rows * w or not (b[lines] == 10).all() or np.count_nonzero(data == 10) != rows:
-        return None
+    if (not rows or ends.size != rows * w or not (b[lines] == 10).all()
+            or np.count_nonzero(data == 10) != rows):  # no rows: lone \r line ends only
+        raise ValueError
     starts = np.empty_like(ends)
     starts[0], starts[1:] = 24, ends[:-1] + 1
     cr = b[lines - 1] == 13
     n_cr, n_exp = np.count_nonzero(cr), np.count_nonzero(data == 101)
     n_ascii = np.count_nonzero(np.subtract(data, np.uint8(43)) < np.uint8(15))  # +,-./0-9
     if n_ascii - np.count_nonzero(data == 47) + rows + n_cr + n_exp != size:
-        return None
+        raise ValueError
     lines -= cr  # or at the \r before its line end
     length = ends - starts
     if length.min() < 1 or length.max() > 24:
-        return None
+        raise ValueError
     neg = b[starts] == 45
     n_minus = np.count_nonzero(data == 45) - np.count_nonzero(neg)
     n_plus = np.count_nonzero(data == 43)
@@ -564,12 +568,12 @@ def _decimal_block(buf: bytearray, size: int, w: int) -> np.ndarray | None:
         for i in dict.fromkeys(np.searchsorted(ends, found, side="right").tolist()):
             cell = buf[starts[i]:ends[i]]
             if not _EXPONENT_CELL.fullmatch(cell):
-                return None
+                raise ValueError
             y[i], good[i] = float(cell), True
             n_minus -= cell.count(b"-", 1)
             n_plus -= cell.count(b"+")
     if n_minus or n_plus or not good.all():
-        return None
+        raise ValueError
     return y.reshape(rows, w)
 
 
@@ -611,23 +615,25 @@ class _BadLine(Exception):
     """args: (the bad line's index from its range's first line, what is wrong)."""
 
 
-def _parse_lines(path, start: int, stop: int, d: int, k: int):
-    """(rows, lines) of bytes [start, stop), the rows as a parse of one line at
-    a time reads them, cells maybe quoted; blocks of lines (16 KiB) the bulk
-    parse accepts are taken whole. The range is read as text whose lines end
-    at `\\r\\n`, `\\r` or `\\n`; a byte that is not UTF-8 reads as a lone
-    surrogate. _BadLine at the first line this rejects."""
-    blocks, index = [], 0
-    with open(path, "rb") as raw, io.TextIOWrapper(
-            io.BufferedReader(_ByteRange(raw, start, stop), 1 << 16),
-            encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        while lines := fh.readlines(1 << 14):
-            try:
-                blocks.append(_bulk_rows(lines, d, k))
-            except ValueError:
-                blocks.extend(_line_row(line, index + i, d, k) for i, line in enumerate(lines))
-            index += len(lines)
-    return (np.concatenate(blocks) if blocks else np.empty((0, d + k))), index
+def _parse_lines(text: bytes, first: int, d: int, k: int):
+    """(rows, lines) of the lines in `text`, the rows as a parse of one line at
+    a time reads them, cells maybe quoted; groups of lines the bulk parse
+    accepts are taken whole, a group ending at the first line that takes it
+    past 16 KiB. Lines end at `\\r\\n`, `\\r` or `\\n`; a byte that is not UTF-8
+    reads as a lone surrogate. _BadLine at the first line this rejects,
+    numbered `first` plus its place in `text`."""
+    lines = [line.decode("utf-8", "surrogateescape") for line in text.splitlines(keepends=True)]
+    ends = np.cumsum([len(line) for line in lines], dtype=np.int64)
+    blocks, at = [], 0
+    while at < len(lines):
+        stop = int(np.searchsorted(ends, ends[at] - len(lines[at]) + (1 << 14), "right")) + 1
+        group = lines[at:stop]
+        try:
+            blocks.append(_bulk_rows(group, d, k))
+        except ValueError:
+            blocks.extend(_line_row(line, first + at + i, d, k) for i, line in enumerate(group))
+        at = stop
+    return (np.concatenate(blocks) if blocks else np.empty((0, d + k))), len(lines)
 
 
 def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
@@ -663,23 +669,6 @@ def _line_row(line: str, index: int, d: int, k: int) -> np.ndarray:
 def _send_rows(path, start: int, stop: int, d: int, k: int):
     table, lines = _parse_rows(path, start, stop, d, k)
     return (table.shape[0], lines), memoryview(table).cast("B")
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, stop) of a binary file, as a raw stream."""
-
-    def __init__(self, fh, start: int, stop: int):
-        fh.seek(start)
-        self._fh, self._left = fh, stop - start
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        with memoryview(buf) as view:
-            n = self._fh.readinto(view[:min(len(view), self._left)])
-        self._left -= n
-        return n
 
 
 def _row_bounds(rows: int) -> list:

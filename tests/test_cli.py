@@ -241,6 +241,64 @@ def test_config_lists_every_dataset_message(tmp_path, capsys, cfg, messages):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"hidden_sizes": 8}, "hidden_sizes must be a list, got 8"),
+    ({"dataset": 5}, "dataset must be an object"),
+    ({"out_dir": None}, "out_dir is required"),
+], ids=["hidden_sizes_not_a_list", "dataset_not_an_object", "no_out_dir"])
+def test_config_shape_errors_exit_1(tmp_path, capsys, monkeypatch, overrides, message):
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    assert capsys.readouterr().err == f"error: invalid config:\n  {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+# A fuzzed key takes a value of its own kind, or one from FUZZ_HOSTILE: wrong
+# types, NaN and inf, negatives, empty strings and lists, objects. No epoch count,
+# size or row count goes past 8, so no case trains for long.
+FUZZ_HOSTILE = st.sampled_from([
+    "", "x", True, None, [], [1, "a"], [-1], {}, {"a": 1},
+    float("nan"), float("inf"), float("-inf"), -1, -2.5])
+FUZZ_OF_KIND = {int: [0, 1, 2, 8], float: [0.0, 0.25, 0.5, 1.0, 2.0], bool: [True, False],
+                tuple: [[], [2], [8, 3]], str: ["tedl", "ce_only", "edl_only", "adam", "sgd",
+                                                "elu", "hostile", "relu_evidence", "ring"]}
+FUZZ_KINDS = {False: {key: type(f.default) for key, f in cli.PLAN_FIELDS.items()}
+              | dict.fromkeys(cli.SPLIT_KEYS, float)
+              | {"zzz": str, "dataset_csv": str, "out_dir": str, "dataset": tuple},
+              True: cli.GEN_KINDS | {"zzz": int}}
+FUZZ_EDIT = st.sampled_from([(block, key) for block in FUZZ_KINDS for key in FUZZ_KINDS[block]]
+                            ).flatmap(lambda at: st.tuples(st.just(at), st.one_of(
+                                st.sampled_from(FUZZ_OF_KIND[FUZZ_KINDS[at[0]][at[1]]]),
+                                FUZZ_HOSTILE)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(FUZZ_EDIT, min_size=1, max_size=3))
+def test_fuzzed_config_exits_as_documented(edits):
+    """A config of 1-3 bad or odd keys exits 0, or 1 writing nothing, or 2 only
+    where its split leaves a part without rows."""
+    cfg = {"mode": "tedl", "stage1_epochs": 1, "stage2_epochs": 2, "batch_size": 16,
+           "hidden_sizes": [8], "dataset": {"kind": "blobs", "n": 80, "d": 2, "k": 2,
+                                            "sep": 4.0}, "out_dir": "run"}
+    for (in_dataset, key), value in edits:
+        block = cfg["dataset"] if in_dataset and isinstance(cfg.get("dataset"), dict) else cfg
+        block[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.chdir(tmp)
+        m.delenv("EVIDENTIAL_SEED", raising=False)
+        Path("config.json").write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("train", "--config", "config.json")
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            assert os.listdir(tmp) == ["config.json"]
+        if code == 2:
+            assert err.getvalue() == (
+                "runtime failure: split fractions too small to yield at least one row\n")
+
+
 def test_non_finite_stage2_loss_exit_2(tmp_path, capsys, monkeypatch):
     real = losses._edl_total
 
@@ -480,6 +538,28 @@ class TestModelIO:
         out = tmp_path / "e"
         assert run_cli("eval", "--model", str(path), "--data", str(data), "--out", str(out)) == 2
         assert f"runtime failure: {path}: damaged model file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("class_count_float", "class_count must be an integer"),
+        ("nan_weight", "non-finite layer parameter"),
+    ])
+    def test_resigned_bad_part_names_file_exit_2(self, tmp_path, capsys, damage, message):
+        path = tmp_path / "model.json"
+        cli.save_model(ndcore.init_network([2, 3, 2], head="elu_evidence", seed=0), path)
+        doc = json.loads(path.read_text())
+        if damage == "class_count_float":
+            doc["payload"]["class_count"] = 2.0
+        else:
+            doc["payload"]["layers"][0]["weights"][1][2] = float("nan")
+        doc["payload_sha256"] = cli._payload_sha256(doc["payload"])
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        save_csv(gen_blobs(50, 2, 2, 6.0, seed=9), data)
+        out = tmp_path / "e"
+        assert run_cli("eval", "--model", str(path), "--data", str(data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"runtime failure: {path}: damaged model file: {message}\n")
         assert not out.exists()
 
     def test_not_a_model(self, tmp_path):

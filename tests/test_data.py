@@ -48,6 +48,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset([[np.nan, 0.0]], [[1.0, 0.0]])
 
+    @pytest.mark.parametrize("features, labels", [
+        (np.zeros((2, 2, 1)), [[1.0, 0.0], [0.0, 1.0]]), (np.zeros((2, 2)), [1.0, 0.0]),
+    ], ids=["features_3d", "labels_1d"])
+    def test_rejects_arrays_not_2d(self, features, labels):
+        with pytest.raises(ValueError) as err:
+            Dataset(features, labels)
+        assert str(err.value) == "features and labels must be 2-D"
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match="row counts"):
             Dataset(np.zeros((3, 2)), np.tile([1.0, 0.0], (2, 1)))
@@ -312,7 +320,7 @@ class TestCsvFormat:
         save_csv(ds, tmp_path / "d.csv")
         text = (tmp_path / "d.csv").read_bytes()
         start = text.index(b"\n") + 1
-        table = data._read_decimal(io.BytesIO(text), start, len(text), ds.dim + ds.class_count)
+        table = _kernel_table(tmp_path / "d.csv", start, len(text), ds.dim, ds.class_count)
         assert table is not None
         want = np.hstack([ds.features, ds.labels])
         assert np.array_equal(table.view(np.int64), want.view(np.int64))
@@ -392,6 +400,29 @@ def _kernel_reads(cell: bytes) -> bool:
     return len(cell) <= 24 and re.fullmatch(rb"-?[0-9]+(?:\.[0-9]+)?e[+-][0-9]+", cell) is not None
 
 
+class _Declined(Exception):
+    """Raised by _kernel_table's stand-in for _parse_lines."""
+
+
+def _declined(*args):
+    raise _Declined
+
+
+def _kernel_table(path, start, stop, d, k):
+    """_parse_rows's rows of bytes [start, stop) if the decimal kernel reads
+    every block, else None (_parse_lines is stood in for by a raise)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_parse_lines", _declined)
+        try:
+            return data._parse_rows(path, start, stop, d, k)[0]
+        except _Declined:
+            return None
+
+
+def _declined_by_kernel(buf, size, w):
+    raise ValueError
+
+
 def _kernel_values(cells, ended=True):
     """The decimal kernel's values of `cells`, two a line, lines ending in \\n
     and \\r\\n by turns and the last one maybe in none; None if it declines.
@@ -402,9 +433,12 @@ def _kernel_values(cells, ended=True):
                     for i in range(0, len(cells), 2))
     if not ended:
         body = body.rstrip(b"\r\n")
-    with pytest.MonkeyPatch.context() as m:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        path = Path(tmp) / "body"
+        path.write_bytes(body)
         m.setattr(data, "_FORMAT_CELLS", 1)
-        table = data._read_decimal(io.BytesIO(body), 0, len(body), 2)
+        m.setattr(data, "_checked_rows", lambda table, d, k: table)  # cells carry no labels
+        table = _kernel_table(path, 0, len(body), 1, 1)
     return None if table is None else table.ravel()[:n]
 
 
@@ -615,11 +649,68 @@ class TestCsvContract:
         path.write_bytes(b"f0,y0,y1\n" + body)
         with open(path, newline="", encoding="utf-8") as fh:
             scanned = list(fh)[1:]
-        with open(path, "rb") as raw:
-            assert (data._read_decimal(raw, 9, len(body) + 9, 3) is not None) == kernel
+        assert (_kernel_table(path, 9, len(body) + 9, 1, 2) is not None) == kernel
         rows, counted = data._parse_rows(path, 9, len(body) + 9, 1, 2)
         assert counted == len(scanned)
         assert rows.shape == (sum(1 for line in scanned if line.strip("\r\n")), 3)
+
+    def test_kernel_blocks_then_a_declined_block_load_as_the_line_parse_alone(self, tmp_path,
+                                                                          monkeypatch):
+        # 1 KiB blocks: the kernel reads the first ones and declines the one with the quoted
+        # cell; a later line, of 3000 zeros, is longer than the buffer, which grows
+        monkeypatch.setattr(data, "_FORMAT_CELLS", 1 << 6)
+        lines = [KERNEL_LINES[i % 3] for i in range(500)]
+        lines[300] = b'"2",0,1\r\n'
+        lines[310] = b"0" * 3000 + b"7,1,0\r\n"
+        body = b"".join(lines)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,y0,y1\r\n" + body + b"1,1,1")  # a bad last line without an end
+        stop = len(body) + 10
+        calls, real_parse_lines = [], data._parse_lines
+
+        def parse_lines(text, first, d, k):
+            calls.append((bytes(text), first))
+            return real_parse_lines(text, first, d, k)
+
+        monkeypatch.setattr(data, "_parse_lines", parse_lines)
+        rows, counted = data._parse_rows(path, 10, stop, 1, 2)
+        parsed = b"".join(text for text, _ in calls)
+        kernel_read = body[:len(body) - len(parsed)]
+        assert body.endswith(parsed) and 0 < len(kernel_read) < body.index(b'"')
+        assert b'"' in calls[0][0] and calls[0][1] == kernel_read.count(b"\n")
+        for (text, first), (_, after) in zip(calls, calls[1:]):
+            assert after == first + len(text.splitlines())
+        assert len(calls) > 2 and max(len(text) for text, _ in calls) > 16 * data._FORMAT_CELLS
+        with monkeypatch.context() as m:
+            m.setattr(data, "_decimal_block", _declined_by_kernel)
+            alone, alone_counted = data._parse_rows(path, 10, stop, 1, 2)
+            with pytest.raises(ValueError) as alone_err:
+                _one_range(m, load_csv, path)
+        assert counted == alone_counted == 500
+        assert np.array_equal(rows.view(np.int64), alone.view(np.int64))
+        assert rows[[0, 300, 310], 0].tolist() == [1.0, 2.0, 7.0]
+        with pytest.raises(ValueError) as err:
+            _one_range(monkeypatch, load_csv, path)
+        assert str(err.value) == str(alone_err.value) == (
+            f"{path}: line 502: label row does not sum to 1")
+
+    def test_lone_cr_line_ends_across_blocks_load(self, tmp_path, monkeypatch):
+        # a block may end after a lone \r, so one can hold neither a cell nor a row, and
+        # lone \r line ends keep the blocks within the buffer (76 bytes for 3 cells)
+        monkeypatch.setattr(data, "_FORMAT_CELLS", 4)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,y0,y1\r\n" + b"\r" * 200 + b"1,1,0\r" * 50 + b"\r" * 200)
+        sizes, real_parse_lines = [], data._parse_lines
+
+        def parse_lines(text, first, d, k):
+            sizes.append(len(text))
+            return real_parse_lines(text, first, d, k)
+
+        monkeypatch.setattr(data, "_parse_lines", parse_lines)
+        rows, counted = data._parse_rows(path, 10, path.stat().st_size, 1, 2)
+        assert counted == 450
+        assert rows.tolist() == [[1.0, 1.0, 0.0]] * 50
+        assert sum(sizes) == 700 and max(sizes) <= 76
 
 
 def _ranged_dataset():
@@ -753,8 +844,8 @@ class TestCsvRanges:
         forks = _force_ranges(monkeypatch, ranges)
         cuts = data._body_cuts(path, len(header))
         assert len(cuts) == ranges + 1 and cuts[1] > len(header) + (1 << 13)
-        with open(path, "rb") as raw:  # every range before the last is read as `lines` says
-            read = [data._read_decimal(raw, a, b, 3) is not None for a, b in zip(cuts, cuts[1:-1])]
+        # every range before the last is read as `lines` says
+        read = [_kernel_table(path, a, b, 1, 2) is not None for a, b in zip(cuts, cuts[1:-1])]
         assert read == [lines is KERNEL_LINES] * (ranges - 1)
         with pytest.raises(ValueError) as ranged:
             load_csv(path)
@@ -874,7 +965,7 @@ class TestCsvRanges:
                 call(*args)
             assert time.monotonic() - started < 30
         assert len(forks) == 2 * (ranges - 1)
-        _assert_clean(tmp_path, ["d.csv", "o.csv"])
+        _assert_clean(tmp_path, ["d.csv"])  # the failed save_csv left no o.csv
 
     @pytest.mark.parametrize("ranges", [2, 3])
     @pytest.mark.parametrize("variant", ["blank_line", "quoted_cell"])
@@ -929,7 +1020,22 @@ class TestCsvRanges:
         with pytest.raises(RuntimeError, match=f"range failed in the {where}"):
             load_csv(path)
         assert len(forks) == 3 * (ranges - 1)
-        _assert_clean(tmp_path, ["d.csv", "out.csv"])
+        _assert_clean(tmp_path, ["d.csv"])  # the failed save_csv left no out.csv
+
+    @pytest.mark.parametrize("call", ["save_csv", "load_csv"])
+    def test_a_child_that_exits_without_a_result_fails_the_call(self, tmp_path, monkeypatch,
+                                                                 call):
+        path = tmp_path / "d.csv"
+        save_csv(RANGED_DATASET, path)
+        forks = _force_ranges(monkeypatch, 2)
+        job = "_write_spill" if call == "save_csv" else "_send_rows"
+        monkeypatch.setattr(data, job, lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError) as err:
+            save_csv(RANGED_DATASET, path) if call == "save_csv" else load_csv(path)
+        assert str(err.value) == "a CSV worker process exited without a result"
+        assert len(forks) == 1
+        # a failed save_csv removes the table it had begun, so no partial one is ever read
+        _assert_clean(tmp_path, [] if call == "save_csv" else ["d.csv"])
 
     @pytest.mark.parametrize("ranges", [2, 3])
     @pytest.mark.parametrize("fail", [None, "child", "parent"])
@@ -969,7 +1075,7 @@ class TestCsvRanges:
         seen = [path.read_text().split() for path in seen_dir.iterdir()]
         assert len(seen) == ranges - 1
         assert all(set(names) <= {"out.csv"} for names in seen), seen
-        _assert_clean(out_dir, ["out.csv"])
+        _assert_clean(out_dir, [] if fail else ["out.csv"])
 
 
 def _fuzz_base(crlf: bool) -> bytes:
@@ -1047,7 +1153,7 @@ def test_mutated_csv_loads_as_the_bulk_parse_alone_reads_it(mutations, crlf):
         path.write_bytes(_mutate(_fuzz_base(crlf), mutations))
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
         with_kernel = _load_outcome(path)
-        m.setattr(data, "_read_decimal", lambda raw, start, stop, w: None)
+        m.setattr(data, "_decimal_block", _declined_by_kernel)
         assert _load_outcome(path) == with_kernel
 
 

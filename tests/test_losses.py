@@ -443,3 +443,25 @@ def test_harden_labels():
     assert np.array_equal(
         harden_labels([[0.4, 0.6], [0.9, 0.1]]), [[0.0, 1.0], [1.0, 0.0]]
     )
+
+
+def _elu_output():
+    return evidence_to_alpha(np.ones((3, 2)), "elu_evidence")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: edl_base_loss(_elu_output(), np.eye(3)), "label shape must match alpha shape"),
+    (lambda: make_alpha_tilde(np.ones((3, 2)), np.eye(3)), "label shape must match alpha shape"),
+    (lambda: cross_entropy_loss(np.full((3, 2), 0.5), np.eye(3)),
+     "label shape must match probability shape"),
+    (lambda: edl_total_loss(_elu_output(), onehot([0, 1, 0], 2), 1.5),
+     "lambda_t must lie in [0, 1]"),
+    (lambda: edl_total_loss(_elu_output(), onehot([0, 1, 0], 2), float("nan")),
+     "lambda_t must lie in [0, 1]"),
+    (lambda: lambda_schedule(-1, 0.1), "epoch index must be >= 0"),
+], ids=["base_shape", "alpha_tilde_shape", "ce_shape", "lambda_t_above_1", "lambda_t_nan",
+        "negative_epoch"])
+def test_each_argument_error_has_its_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

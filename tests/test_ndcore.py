@@ -275,3 +275,33 @@ class TestSwapHead:
         swapped = swap_head(net, "relu_evidence")
         swapped.layers[0].weights += 1.0
         assert not np.array_equal(swapped.layers[0].weights, net.layers[0].weights)
+
+
+def _layer(fan_in, fan_out):
+    return Layer(np.zeros((fan_in, fan_out)), np.zeros(fan_out))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ndcore.as_matrix(np.zeros((2, 2, 2))), "expected a 2-D matrix, got ndim=3"),
+    (lambda: Layer(np.zeros(3), np.zeros(3)), "layer weights must be 2-D"),
+    (lambda: Network([_layer(2, 2)], "x", 2), "unknown head 'x'"),
+    (lambda: Network([], "softmax", 2), "network needs at least one layer"),
+    # init_network's own check on the output size fires before Network's
+    (lambda: Network([_layer(2, 1)], "softmax", 1), "class_count must be >= 2"),
+    (lambda: Network([_layer(2, 3), _layer(2, 2)], "softmax", 2),
+     "consecutive layer shapes do not compose"),
+    (lambda: Network([_layer(2, 3)], "softmax", 2), "final layer fan_out must equal class_count"),
+    (lambda: init_network([2, 2], init_mode="x"), "unknown init_mode 'x'"),
+], ids=["matrix_ndim", "layer_ndim", "head", "no_layers", "class_count", "compose", "fan_out",
+        "init_mode"])
+def test_each_construction_error_has_its_message(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_forward_reads_a_1d_input_as_one_row():
+    net = init_network([2, 3, 2], seed=0)
+    out = forward(net, [1.0, 2.0])
+    assert out.shape == (1, 2)
+    assert np.array_equal(out, forward(net, [[1.0, 2.0]]))
