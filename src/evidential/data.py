@@ -123,7 +123,7 @@ class _TrainingPart(Dataset):
         return self.parent.class_count
 
     def rows(self, idx) -> np.ndarray:
-        return self.parent.features[self.index[idx]]
+        return self.parent.features.take(self.index.take(idx), 0)
 
 
 @dataclass

@@ -45,15 +45,15 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
     strength, expected probabilities and uncertainty."""
     e = as_matrix(evidence)
     if head == "relu_evidence":
-        if (e < 0.0).any():
+        if np.logical_or.reduce(e < 0.0, None):
             raise ValueError("relu_evidence requires evidence >= 0")
     elif head == "elu_evidence":
-        if (e <= -1.0).any():
+        if np.logical_or.reduce(e <= -1.0, None):
             raise ValueError("elu_evidence requires evidence > -1")
     else:
         raise ValueError(f"not an evidence head: {head!r}")
     alpha = e + 1.0
-    strength = alpha.sum(axis=1)
+    strength = np.add.reduce(alpha, 1)
     p_hat = alpha / strength[:, None]
     uncertainty = alpha.shape[1] / strength
     return EvidentialOutput(
@@ -78,13 +78,18 @@ def _edl_base(out: EvidentialOutput, y: np.ndarray):
     n = y.shape[0]
     p = out.p_hat
     s = out.strength[:, None]
-    q = (p * p).sum(axis=1, keepdims=True)
-    resid, s_plus_1, one_minus_q = p - y, s + 1.0, 1.0 - q
+    resid = p - y
+    # resid * resid, resid * p and p * p, summed over the classes in one call
+    products = np.empty((3, *p.shape))
+    np.multiply(resid, resid, products[0])
+    np.multiply(resid, p, products[1])
+    np.multiply(p, p, products[2])
+    square_sum, inner, q = np.add.reduce(products, 2, keepdims=True)
+    s_plus_1, one_minus_q = s + 1.0, 1.0 - q
 
-    per_sample = (resid * resid).sum(axis=1) + one_minus_q[:, 0] / s_plus_1[:, 0]
-    value = float(per_sample.mean())
+    per_sample = square_sum[:, 0] + one_minus_q[:, 0] / s_plus_1[:, 0]
+    value = float(np.add.reduce(per_sample) / n)
 
-    inner = (resid * p).sum(axis=1, keepdims=True)
     g_fit = 2.0 * (resid - inner) / s
     g_var = -2.0 * (p - q) / (s * s_plus_1) - one_minus_q / (s_plus_1 * s_plus_1)
     grad = (g_fit + g_var) / n
@@ -123,19 +128,22 @@ def make_alpha_tilde(alpha, y):
 
 def _kl_uniform(at: np.ndarray):
     n, k = at.shape
-    st = at.sum(axis=1)
     # One special-function pass over every entry of alpha_tilde, S_tilde and K.
-    terms = _gamma_rows(np.concatenate([at.ravel(), st, [float(k)]]), "kl_to_uniform")
+    values = np.empty(n * k + n + 1)
+    values[:n * k].reshape(n, k)[...] = at
+    st = np.add.reduce(at, 1, out=values[n * k:-1])
+    values[-1] = k
+    terms = _gamma_rows(values, "kl_to_uniform")
     full = terms[:, :n * k].reshape(3, n, k)
     lg, dg, tg = terms[:, n * k:]
     weight = at - 1.0
-    per_sample = (
-        lg[:-1]
-        - lg[-1]
-        - full[0].sum(axis=1)
-        + (weight * (full[1] - dg[:-1][:, None])).sum(axis=1)
-    )
-    value = float(per_sample.mean())
+    # full[1] becomes (alpha_tilde - 1)(digamma(alpha_tilde) - digamma(S_tilde)), so one
+    # sum gives the row sums of it and of ln Gamma(alpha_tilde)
+    np.subtract(full[1], dg[:-1][:, None], full[1])
+    full[1] *= weight
+    lg_sum, weighted_sum = np.add.reduce(full[:2], 2)
+    per_sample = lg[:-1] - lg[-1] - lg_sum + weighted_sum
+    value = float(np.add.reduce(per_sample) / n)
     grad = (weight * full[2] - ((st - k) * tg[:-1])[:, None]) / n
     return value, grad
 
@@ -163,7 +171,7 @@ def _edl_total(out: EvidentialOutput, y: np.ndarray, y_hard: np.ndarray, lambda_
     """`edl_total_loss` on checked label rows `y` and `y_hard = harden_labels(y)`."""
     base_value, grad = _edl_base(out, y)
     kl_value, kl_grad = _kl_uniform(_alpha_tilde(out.alpha, y_hard))
-    grad = grad + lambda_t * (1.0 - y_hard) * kl_grad
+    grad += lambda_t * (1.0 - y_hard) * kl_grad
     return LossValue(total=base_value + lambda_t * kl_value, base=base_value, kl=kl_value), grad
 
 
@@ -192,7 +200,7 @@ def lambda_schedule(epoch_t: int, lam: float) -> float:
 def _cross_entropy(p: np.ndarray, y: np.ndarray):
     """`cross_entropy_loss` on checked label rows `y`, as (LossValue, grad_logits)."""
     n = p.shape[0]
-    value = float(-(y * np.log(np.maximum(p, _LOG_CLAMP))).sum() / n)
+    value = float(-np.add.reduce(y * np.log(np.maximum(p, _LOG_CLAMP)), None) / n)
     return LossValue(total=value, base=value, kl=0.0), (p - y) / n
 
 

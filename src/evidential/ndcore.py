@@ -9,6 +9,7 @@ supported for losses that differentiate directly at the logits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -46,16 +47,20 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    return np.logical_and.reduce(np.isfinite(arr), None)
+
+
 def _require_finite(arr: np.ndarray, context: str) -> None:
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NumericError(f"non-finite value in {context}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, 1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, 1, keepdims=True)
 
 
 @dataclass(eq=False)
@@ -129,7 +134,7 @@ class Network:
 def global_norm(net: Network, grad: np.ndarray) -> float:
     """Norm of a gradient in `theta`'s layout, summed per array: weights, then biases."""
     squares = grad * grad
-    return float(np.sqrt(sum(float(np.add.reduce(squares[i:j])) for i, j, _ in net._layout)))
+    return math.sqrt(sum(float(np.add.reduce(squares[i:j])) for i, j, _ in net._layout))
 
 
 def _apply_head(head: str, logits: np.ndarray) -> np.ndarray:
@@ -155,7 +160,7 @@ def _layer_pass(net: Network, x, keep: bool):
     for idx, layer in enumerate(net.layers):
         a = z @ layer.weights
         a += layer.bias
-        if not np.isfinite(a).all():
+        if not _all_finite(a):
             raise NumericError(f"non-finite pre-activation in layer {idx}")
         z = _ACTIVATIONS[layer.activation][0](a)
         if keep:
@@ -198,7 +203,7 @@ def backward(net: Network, upstream, cache) -> np.ndarray:
     logits = post[-1]
     if net.head == "softmax":
         p = softmax(logits)
-        g = p * (upstream - np.sum(upstream * p, axis=1, keepdims=True))
+        g = p * (upstream - np.add.reduce(upstream * p, 1, keepdims=True))
     elif net.head in EVIDENCE_ACTIVATION:
         # an evidence activation's derivative reads only the pre-activation
         g = upstream * _ACTIVATIONS[EVIDENCE_ACTIVATION[net.head]][1](logits, None)
@@ -214,7 +219,7 @@ def backward(net: Network, upstream, cache) -> np.ndarray:
             g = g * derivative(pre[idx], post[idx])
         inp = x if idx == 0 else post[idx - 1]
         np.matmul(inp.T, g, out=w_grads[idx])
-        g.sum(axis=0, out=b_grads[idx])
+        np.add.reduce(g, 0, out=b_grads[idx])
         if idx > 0:
             g = g @ layer.weights.T
     return grad

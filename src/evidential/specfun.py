@@ -87,11 +87,17 @@ def _gamma_rows(flat: np.ndarray, name: str = "gamma_terms") -> np.ndarray:
     """The (3, n) rows ln Gamma, digamma and trigamma of the 1-D float64
     `flat` > 0, worked out _PASS values at a time; the result never shares
     memory with the scratch buffer."""
-    if flat.size and not (flat.min() > 0.0 and flat.max() < np.inf):  # NaN fails both
+    if flat.size and not (np.minimum.reduce(flat) > 0.0
+                          and np.maximum.reduce(flat) < np.inf):  # NaN fails both
         raise ValueError(f"{name} requires finite x > 0")
     out = np.empty((3, flat.size))
-    for i in range(0, flat.size, _PASS):
-        _shift_and_series(flat[i:i + _PASS], out[:, i:i + _PASS])
+    # Overflow and division by zero stay quiet: z*z leaves the float range below
+    # ~1e-154 and above ~1e154, 1/x overflows below ~5.6e-309 and (z - 1/2) ln z
+    # near the float maximum. Each gives inf where the true value overflows, or
+    # 0 where it is too small to change a result.
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(0, flat.size, _PASS):
+            _shift_and_series(flat[i:i + _PASS], out[:, i:i + _PASS])
     return out
 
 
@@ -105,7 +111,8 @@ def _shift_and_series(x: np.ndarray, out: np.ndarray) -> None:
     sums are row `shifts` of `sums`, and the three series run at z as one
     (8, 3, m) block, digamma's negated. Negation is exact, so one add and
     one subtraction finish all three functions. Every sum adds its terms
-    in order, never pairwise as `sum` may.
+    in order, never pairwise as `sum` may. The caller quiets overflow and
+    division by zero.
     """
     m = x.size
     (steps, step_pairs, sums, log_terms, inv_terms, inv2_terms, sum_pairs, series, series_pairs,
@@ -124,13 +131,10 @@ def _shift_and_series(x: np.ndarray, out: np.ndarray) -> None:
     np.divide(1.0, steps[:-1], inv_terms)
     np.log(z, log_z)
     np.divide(1.0, z, inv_z)
-    # z*z leaves the float range below ~1e-154 and above ~1e154. 1/z^2 is then inf
-    # where its true value overflows, or 0 where it is too small to change a result.
-    with np.errstate(over="ignore", divide="ignore"):
-        np.multiply(steps[:-1], steps[:-1], inv2_terms)
-        np.divide(-1.0, inv2_terms, inv2_terms)
-        np.multiply(z, z, inv2)
-        np.divide(1.0, inv2, inv2)
+    np.multiply(steps[:-1], steps[:-1], inv2_terms)
+    np.divide(-1.0, inv2_terms, inv2_terms)
+    np.multiply(z, z, inv2)
+    np.divide(1.0, inv2, inv2)
     for a, b in sum_pairs:
         b += a
     shifts *= 3 * m

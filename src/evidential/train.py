@@ -11,6 +11,7 @@ epoch) and all state lives in float64 numpy arrays.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def step(net: ndcore.Network, state: OptimizerState, grad: np.ndarray):
         m_hat = state.m / (1.0 - BETA1 ** state.step_count)
         v_hat = state.v / (1.0 - BETA2 ** state.step_count)
         net.theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
-    if not np.isfinite(net.theta).all():
+    if not ndcore._all_finite(net.theta):
         raise TrainingError("non-finite parameter after optimizer step")
     return net, state
 
@@ -160,7 +161,7 @@ def _run_stage(net, back_net, data, plan: TrainPlan, loss_fn, *, stage: int,
         for idx in _epoch_batches(train_ds.n, plan.batch_size, plan.seed, stage, t):
             output, cache = ndcore.forward_with_cache(net, train_ds.rows(idx))
             loss, upstream = loss_fn(output, idx, lambda_t)
-            if not np.isfinite(loss.total):
+            if not math.isfinite(loss.total):
                 raise TrainingError(
                     f"non-finite loss at stage{stage} epoch {t}, batch {len(parts)}")
             grad = ndcore.backward(back_net, upstream, cache)
@@ -199,9 +200,10 @@ def train_stage1(net: ndcore.Network, data, plan: TrainPlan):
     # through an identity-head view that shares `net`'s parameters.
     logits_net = copy.copy(net)
     logits_net.head = "identity"
+    labels = data[0].labels
 
     def cross_entropy(probs, rows, lambda_t):
-        return losses._cross_entropy(probs, data[0].labels[rows])
+        return losses._cross_entropy(probs, labels.take(rows, 0))
 
     return _run_stage(net, logits_net, data, plan, cross_entropy, stage=1,
                       learning_rate=plan.lr_stage1, epochs=plan.stage1_epochs,
@@ -223,7 +225,7 @@ def train_stage2(net: ndcore.Network, data, plan: TrainPlan):
 
     def evidential(evidence, rows, lambda_t):
         return losses._edl_total(losses.evidence_to_alpha(evidence, net.head),
-                                 labels[rows], hard[rows], lambda_t)
+                                 labels.take(rows, 0), hard.take(rows, 0), lambda_t)
 
     return _run_stage(net, net, data, plan, evidential, stage=2,
                       learning_rate=plan.lr_stage2, epochs=plan.stage2_epochs,

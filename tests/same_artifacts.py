@@ -14,6 +14,8 @@ output paths:
 - a K=10 `ce_only` run;
 - a `ce_only` run shaped like the benchmark's `ce_wide` (50k x 32 blobs, K=10,
   hidden (64, 64) tanh, Adam, 5 epochs);
+- `tedl` runs at K=7 and K=8 (4000-row blobs, d=8 and d=10, hidden (16,) ReLU,
+  Adam, 2+3 epochs), either side of where numpy's row sum starts pairing terms;
 - `gen` of a 100k-row holdout, then `eval` of the reference model on it;
 - `compare` on a K=3 CSV.
 
@@ -71,6 +73,14 @@ CONFIGS = {
         "dataset": {"kind": "blobs", "n": 50000, "d": 32, "k": 10, "sep": 3.0, "seed": 7},
         "out_dir": "wide",
     },
+    # K = 7 and K = 8 sit either side of where numpy's sum over the class axis
+    # switches from adding a row's terms in order to adding them in pairs
+    **{f"k{k}": {
+        "mode": "tedl", "stage1_epochs": 2, "stage2_epochs": 3, "lambda": 0.5,
+        "optimizer": "adam", "seed": k, "hidden_sizes": [16], "hidden_activation": "relu",
+        "dataset": {"kind": "blobs", "n": 4000, "d": d, "k": k, "sep": 3.0, "seed": k},
+        "out_dir": f"k{k}",
+    } for k, d in ((7, 8), (8, 10))},
 }
 COMMANDS = [
     *(["train", "--config", f"{name}.json"] for name in CONFIGS),

@@ -203,6 +203,30 @@ def test_backward_writes_per_layer_products_bit_for_bit(sizes, activation, rows)
     assert np.array_equal(grad.view(np.int64), expected.view(np.int64))
 
 
+CLASS_SUM_CELLS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                            1e300, -1e300, 1e-300, 1.0, -2.5, 1e16, 3.0])
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_stacked_class_sums_match_separate_sums_bit_for_bit(k):
+    # The losses sum independent (n, K) blocks over the class axis in one
+    # np.add.reduce of their (2, n, K) stack; each row's sum must keep the bits
+    # it has alone, whether numpy adds the row's terms in order (K < 8) or in
+    # pairs (K >= 8), and whether the rows are contiguous or strided.
+    rng = np.random.default_rng(k)
+    special = rng.choice(CLASS_SUM_CELLS, size=(2, 300, k))
+    special[:, :3] = -0.0
+    scaled = rng.standard_normal((2, 300, k)) * 10.0 ** rng.integers(-300, 300, (2, 300, k))
+    wide = np.zeros((3, 300 * k + 7))
+    wide[:2, :300 * k] = scaled.reshape(2, -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in (special, scaled, special[:, ::2], wide[:, :300 * k].reshape(3, 300, k)[:2]):
+            stacked = np.add.reduce(block, 2)
+            for part, row_sums in zip(block, stacked):
+                separate = np.add.reduce(part, 1)
+                assert np.array_equal(row_sums.view(np.int64), separate.view(np.int64))
+
+
 def test_global_norm_sums_array_by_array():
     net = init_network([5, 7, 4, 3], seed=1)
     rng = np.random.default_rng(4)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,23 @@ def test_trigamma_is_inf_exactly_beyond_float_max(x):
     else:
         assert np.isfinite(tg)
         assert abs(tg - float(tg_true)) <= 1e-10 * max(1.0, abs(float(tg_true)))
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 1.7e308, float(np.finfo(np.float64).max)])
+def test_float_range_ends_without_warnings(x):
+    # 1/x overflows below ~5.6e-309 and (x - 1/2) ln x near the float maximum;
+    # each result is inf exactly where its true value leaves the float range.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (ln_gamma(x), digamma(x), trigamma(x))
+    for value, true in zip(got, (mpmath.loggamma(x), mpmath.digamma(x),
+                                 mpmath.polygamma(1, x))):
+        if abs(true) > np.finfo(np.float64).max:
+            assert value == float(true)  # inf or -inf
+        else:
+            assert abs(value - float(true)) <= 1e-12 * max(1.0, abs(float(true)))
 
 
 def test_fused_kernel_empty_input():

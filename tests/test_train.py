@@ -305,6 +305,49 @@ def test_one_forward_pass_per_training_batch(train, monkeypatch):
     assert rows[-1] == pair[1].n
 
 
+REDUCTION_METHODS = ("sum", "mean", "all", "any", "min", "max")
+
+
+def _reduction_method_calls(train, epochs, monkeypatch):
+    """Calls of ndarray reduction methods while `train` runs `epochs` epochs on a
+    small K=3 pair, outside the per-epoch evaluation."""
+    ds = gen_blobs(400, 4, 3, 3.0, seed=4)
+    pair = split(ds, SplitSpec(seed=4))
+    plan = TrainPlan(stage1_epochs=epochs, stage2_epochs=epochs, batch_size=16, seed=4,
+                     hidden_sizes=(8,))
+    net = build_network(plan, pair[0].dim, pair[0].class_count)
+    calls, evaluating = [], []
+    evaluate = metrics.evaluate
+
+    def apart(*args):
+        evaluating.append(True)
+        try:
+            return evaluate(*args)
+        finally:
+            evaluating.pop()
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and not evaluating and arg.__name__ in REDUCTION_METHODS
+                and isinstance(getattr(arg, "__self__", None), np.ndarray)):
+            calls.append(arg.__name__)
+
+    monkeypatch.setattr(metrics, "evaluate", apart)
+    sys.setprofile(profile)
+    try:
+        train(net, pair, plan)
+    finally:
+        sys.setprofile(None)
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("train", [train_stage1, train_stage2])
+def test_training_batches_call_no_ndarray_reduction_method(train, monkeypatch):
+    # Every per-batch reduction is a ufunc reduction called directly, so the
+    # count does not grow with the batch count (20 batches an epoch here).
+    once = _reduction_method_calls(train, 1, monkeypatch)
+    assert _reduction_method_calls(train, 3, monkeypatch) == once
+
+
 class TestStage2:
     def test_zero_epochs_only_swaps_head(self):
         pair = easy_pair()
