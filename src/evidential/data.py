@@ -190,7 +190,9 @@ def gen_blobs(
     centers = _cluster_centers(k, d, separation)
     rng = np.random.default_rng(seed)
     comp = rng.integers(0, k, size=n)
-    x = centers[comp] + rng.standard_normal((n, d))
+    x = rng.standard_normal((n, d))
+    x += 0.0  # as centers[comp] + x would, with no second n x d array: -0.0 becomes +0.0
+    x[np.arange(n), comp] += centers[comp, comp]
 
     if soft:
         labels = mixture_posterior(x, centers)
@@ -237,18 +239,18 @@ def save_csv(dataset: Dataset, path) -> None:
     depend on the range count and no spill file is ever named beside `path`.
     If anything fails, `path` is removed, so no partial table is left.
     """
-    table = np.hstack([dataset.features, dataset.labels])
-    bounds = _row_bounds(table.shape[0])
+    features, labels = dataset.features, dataset.labels
+    bounds = _row_bounds(dataset.n)
     with open(path, "wb") as fh:
         try:
             with contextlib.ExitStack() as stack:
                 spills = [stack.enter_context(tempfile.TemporaryFile(
                     dir=os.path.dirname(os.path.abspath(path)))) for _ in bounds[2:]]
                 pipes = stack.enter_context(_children(
-                    functools.partial(_write_spill, table[a:b], spill)
+                    functools.partial(_write_spill, features[a:b], labels[a:b], spill)
                     for a, b, spill in zip(bounds[1:], bounds[2:], spills)))
                 fh.write((",".join(_header(dataset.dim, dataset.class_count)) + "\r\n").encode())
-                _write_rows(fh, table[bounds[0]:bounds[1]])
+                _write_rows(fh, features[:bounds[1]], labels[:bounds[1]])
                 for pipe, spill in zip(pipes, spills):
                     _receive(pipe)
                     spill.seek(0)
@@ -264,11 +266,12 @@ def _header(d: int, k: int) -> list:
     return [f"f{i}" for i in range(d)] + [f"y{j}" for j in range(k)]
 
 
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """Format rows into a binary file, one _format_block per block of about _FORMAT_CELLS cells."""
-    step = max(1, _FORMAT_CELLS // rows.shape[1])
-    for at in range(0, rows.shape[0], step):
-        fh.write(_format_block(rows[at:at + step]))
+def _write_rows(fh, features: np.ndarray, labels: np.ndarray) -> None:
+    """Format the rows of [features | labels] into a binary file, one _format_block per
+    block of about _FORMAT_CELLS cells; only a block is ever stacked."""
+    step = max(1, _FORMAT_CELLS // (features.shape[1] + labels.shape[1]))
+    for at in range(0, features.shape[0], step):
+        fh.write(_format_block(np.hstack([features[at:at + step], labels[at:at + step]])))
 
 
 def _halves(v: np.ndarray):
@@ -341,10 +344,10 @@ def _format_block(block: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _write_spill(rows: np.ndarray, spill):
-    """A child's job: format `rows` into the inherited `spill` and flush it,
+def _write_spill(features: np.ndarray, labels: np.ndarray, spill):
+    """A child's job: format the rows into the inherited `spill` and flush it,
     since the child leaves through os._exit."""
-    _write_rows(spill, rows)
+    _write_rows(spill, features, labels)
     spill.flush()
     return None, b""
 

@@ -79,12 +79,9 @@ def _edl_base(out: EvidentialOutput, y: np.ndarray):
     p = out.p_hat
     s = out.strength[:, None]
     resid = p - y
-    # resid * resid, resid * p and p * p, summed over the classes in one call
-    products = np.empty((3, *p.shape))
-    np.multiply(resid, resid, products[0])
-    np.multiply(resid, p, products[1])
-    np.multiply(p, p, products[2])
-    square_sum, inner, q = np.add.reduce(products, 2, keepdims=True)
+    square_sum = np.add.reduce(resid * resid, 1, keepdims=True)
+    inner = np.add.reduce(resid * p, 1, keepdims=True)
+    q = np.add.reduce(p * p, 1, keepdims=True)
     s_plus_1, one_minus_q = s + 1.0, 1.0 - q
 
     per_sample = square_sum[:, 0] + one_minus_q[:, 0] / s_plus_1[:, 0]
@@ -111,17 +108,13 @@ def _alpha_tilde(alpha: np.ndarray, y_hard: np.ndarray) -> np.ndarray:
 def make_alpha_tilde(alpha, y):
     """Replace the true class's concentration with 1, keeping the rest.
 
-    Only hard one-hot labels are accepted; soft labels must be hardened
-    by the caller before entering the KL path.
+    Only hard one-hot labels are accepted: rows that pass the label-row
+    rule, with each entry within 1e-12 of 0 or 1. Soft labels must be
+    hardened by the caller before entering the KL path.
     """
     alpha = as_matrix(alpha)
-    y = as_matrix(y)
-    if y.shape != alpha.shape:
-        raise ValueError("label shape must match alpha shape")
-    is_onehot = np.all((np.abs(y) < 1e-12) | (np.abs(y - 1.0) < 1e-12)) and np.all(
-        np.abs(y.sum(axis=1) - 1.0) < 1e-12
-    )
-    if not is_onehot:
+    y = _checked_labels(alpha, y, "alpha")
+    if not np.all((np.abs(y) < 1e-12) | (np.abs(y - 1.0) < 1e-12)):
         raise ValueError("alpha_tilde requires one-hot labels")
     return _alpha_tilde(alpha, y)
 
@@ -151,12 +144,10 @@ def _kl_uniform(at: np.ndarray):
 def kl_to_uniform(alpha_tilde):
     """KL divergence from Dirichlet(alpha_tilde) to the flat Dirichlet.
 
-    Returns (batch mean, gradient w.r.t. alpha_tilde).
+    Returns (batch mean, gradient w.r.t. alpha_tilde); every entry must
+    be finite and > 0 (the special-function domain check).
     """
-    at = as_matrix(alpha_tilde)
-    if np.any(at <= 0.0):
-        raise ValueError("alpha_tilde must be strictly positive")
-    return _kl_uniform(at)
+    return _kl_uniform(as_matrix(alpha_tilde))
 
 
 def harden_labels(y) -> np.ndarray:

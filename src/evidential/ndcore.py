@@ -51,11 +51,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     return np.logical_and.reduce(np.isfinite(arr), None)
 
 
-def _require_finite(arr: np.ndarray, context: str) -> None:
-    if not _all_finite(arr):
-        raise NumericError(f"non-finite value in {context}")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
     z = logits - np.maximum.reduce(logits, 1, keepdims=True)
@@ -151,7 +146,8 @@ def _layer_pass(net: Network, x, keep: bool):
     """(head output of `net` on `x`, cache): the cache is `(x, pre, post)`,
     every layer's input matrix, pre- and post-activations, when `keep`, else None."""
     x = as_matrix(x)
-    _require_finite(x, "network input")
+    if not _all_finite(x):
+        raise NumericError("non-finite value in network input")
     if x.shape[1] != net.input_dim:
         raise ValueError(
             f"input has {x.shape[1]} columns, first layer expects {net.input_dim}"
@@ -166,9 +162,8 @@ def _layer_pass(net: Network, x, keep: bool):
         if keep:
             pre.append(a)
             post.append(z)
-    out = _apply_head(net.head, z)
-    _require_finite(out, "head output")
-    return out, ((x, pre, post) if keep else None)
+    # each pre-activation is finite, and every activation and head maps finite to finite
+    return _apply_head(net.head, z), ((x, pre, post) if keep else None)
 
 
 def forward_with_cache(net: Network, x):

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +156,44 @@ class TestGenBlobs:
         noisy = gen_blobs(20000, 3, 2, 2.0, label_noise=0.1, seed=5)
         flipped = np.mean(clean.class_indices() != noisy.class_indices())
         assert abs(flipped - 0.1) < 0.01
+
+    @pytest.mark.parametrize("k, d", [(2, 2), (3, 7)])
+    def test_features_are_centers_plus_draws_bit_for_bit(self, monkeypatch, k, d):
+        # centers[comp] + z, signed zeros included: 0.0 + -0.0 is +0.0
+        real, draws = np.random.default_rng, {}
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def integers(self, *args, **kwargs):
+                draws["comp"] = self.rng.integers(*args, **kwargs)
+                return draws["comp"]
+
+            def standard_normal(self, shape):
+                z = self.rng.standard_normal(shape)
+                edges = [0.0, -0.0, 5e-324, -5e-324, -2.0 / math.sqrt(2.0)]
+                z[::3] = self.rng.choice(edges, size=z[::3].shape)
+                z[:4] = -0.0
+                draws["z"] = z.copy()
+                return z
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        ds = gen_blobs(300, d, k, 2.0, seed=4)
+        want = data._cluster_centers(k, d, 2.0)[draws["comp"]] + draws["z"]
+        assert np.array_equal(ds.features.view(np.int64), want.view(np.int64))
+
+    def test_adds_the_centers_in_place(self):
+        gen_blobs(10, 50, 2, 2.0, label_noise=0.1, seed=0)
+        tracemalloc.start()
+        try:
+            gen_blobs(20_000, 50, 2, 2.0, label_noise=0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MB feature matrix and some row vectors; a second 20k x 50 array would
+        # take the peak past 16 MB
+        assert peak < 1.5 * 20_000 * 50 * 8
 
     def test_noise_flips_to_different_class(self):
         clean = gen_blobs(5000, 4, 3, 2.0, label_noise=1.0, seed=2)
@@ -332,10 +371,21 @@ class TestCsvFormat:
         reference_save_csv(ds, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_stacks_one_block_at_a_time(self, tmp_path):
+        ds = gen_blobs(150_000, 10, 2, 2.0, seed=1)
+        tracemalloc.start()
+        try:
+            save_csv(ds, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's work arrays take about 6 MB; the stacked table alone is 14.4 MB
+        assert peak < ds.n * 12 * 8 / 2
+
     def test_block_without_fixed_notation_cells(self):
         rows = np.array([[0.0, -0.0, 1e300, -5e-324], [1e16, -2.5e-7, 0.0, np.inf]])
         out = io.BytesIO()
-        data._write_rows(out, rows)
+        data._write_rows(out, rows[:, :2], rows[:, 2:])
         assert out.getvalue() == b"".join(
             (",".join(format(v, ".17g") for v in row) + "\r\n").encode() for row in rows)
 
@@ -382,7 +432,8 @@ def test_writer_prints_every_cell_as_format_17g(rows):
     out = io.BytesIO()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(data, "_FORMAT_CELLS", 24)
-        data._write_rows(out, np.array(rows, dtype=np.float64))
+        table = np.array(rows, dtype=np.float64)
+        data._write_rows(out, table[:, :1], table[:, 1:])
     lines = out.getvalue().split(b"\r\n")
     assert lines.pop() == b""
     assert len(lines) == len(rows)
@@ -949,12 +1000,12 @@ class TestCsvRanges:
                 time.sleep(60)  # a range whose result is no longer wanted
             return real_parse(path, start, stop, d, k)
 
-        def write_rows(fh, rows):
-            if np.array_equal(rows[0, :3], RANGED_DATASET.features[bad_row]):
+        def write_rows(fh, features, labels):
+            if np.array_equal(features[0], RANGED_DATASET.features[bad_row]):
                 raise RuntimeError("range failed")
             if os.getpid() != parent:
                 time.sleep(60)
-            real_write(fh, rows)
+            real_write(fh, features, labels)
 
         bad_row = data._row_bounds(RANGED_ROWS)[0 if where == "parent" else 1]
         monkeypatch.setattr(data, "_parse_rows", parse_rows)
@@ -1047,16 +1098,16 @@ class TestCsvRanges:
         forks = _force_ranges(monkeypatch, ranges)
         parent, real_write = os.getpid(), data._write_rows
 
-        def write_rows(fh, rows):
+        def write_rows(fh, features, labels):
             in_child = os.getpid() != parent
             if in_child:  # what the output directory lists while this child writes
                 seen = sorted(os.listdir(out_dir))
-                real_write(fh, rows)
+                real_write(fh, features, labels)
                 fh.flush()
                 seen += sorted(os.listdir(out_dir))
                 (seen_dir / str(os.getpid())).write_text("\n".join(seen))
             else:
-                real_write(fh, rows)
+                real_write(fh, features, labels)
             if fail == ("child" if in_child else "parent"):
                 # a failure kills the children still running, so fail only once
                 # every child has listed the directory

@@ -140,6 +140,23 @@ class TestAlphaTilde:
         with pytest.raises(ValueError, match="one-hot"):
             make_alpha_tilde([[2.0, 2.0]], [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [np.nan, 1.0]], ids=["two_hot", "nan"])
+    def test_label_rows_follow_the_one_label_row_rule(self, row):
+        with pytest.raises(ValueError) as err:
+            make_alpha_tilde([[2.0, 2.0]], [row])
+        assert str(err.value) == "label rows must sum to 1"
+
+    def test_entries_within_1e_12_of_one_hot_and_row_sums_within_1e_9(self):
+        # each entry within 1e-12 of 0 or 1, the row sum 8.1e-12 above 1
+        y = np.full((1, 11), 9e-13)
+        y[0, 0] = 1.0 - 9e-13
+        alpha = np.full((1, 11), 3.0)
+        assert np.array_equal(make_alpha_tilde(alpha, y), y + (1.0 - y) * alpha)
+        y[0, 1] = 2e-12  # 2e-12 from 0: not a one-hot entry, though the row sums to 1
+        with pytest.raises(ValueError) as err:
+            make_alpha_tilde(alpha, y)
+        assert str(err.value) == "alpha_tilde requires one-hot labels"
+
 
 class TestKLToUniform:
     def test_uniform_is_zero(self):
@@ -173,6 +190,13 @@ class TestKLToUniform:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             kl_to_uniform([[0.0, 1.0]])
+
+    @pytest.mark.parametrize("row", [[0.0, 1.0], [-1.0, 2.0], [np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_domain_error_has_its_message(self, row):
+        with pytest.raises(ValueError) as err:
+            kl_to_uniform([row])
+        assert str(err.value) == "kl_to_uniform requires finite x > 0"
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)

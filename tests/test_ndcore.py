@@ -1,8 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidential import ndcore
 from evidential.ndcore import (
@@ -95,6 +98,30 @@ class TestForward:
         # forward needs at least one 10k x 64 activation fewer at its peak.
         assert peaks[0] + 10_000 * 64 * 8 <= peaks[1]
 
+    @pytest.mark.parametrize("activation", ndcore.ACTIVATIONS)
+    @pytest.mark.parametrize("head", ndcore.HEADS)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_finite_pre_activations_give_a_finite_head_output(self, head, activation, data):
+        # Parameters and inputs at 0, +-5e-324 and a few at +-1.7e308: products and
+        # sums overflow, underflow to zero or stay tiny, so a pre-activation may be
+        # inf, NaN, 0, tiny or near the float maximum.
+        net = init_network([3, 4, 3, 3], hidden_activation=activation, head=head, seed=0)
+        size = net.theta.size + 6
+        cells = np.array(data.draw(st.lists(st.sampled_from([0.0, 5e-324, -5e-324]),
+                                            min_size=size, max_size=size)))
+        for at, big in data.draw(st.lists(st.tuples(
+                st.integers(0, size - 1), st.sampled_from([1.7e308, -1.7e308])), max_size=5)):
+            cells[at] = big
+        net.theta[:], x = cells[6:], cells[:6].reshape(2, 3)
+        for run in (forward, lambda net, x: forward_with_cache(net, x)[0]):
+            try:
+                with np.errstate(all="ignore"):
+                    out = run(net, x)
+            except NumericError as err:
+                assert re.fullmatch(r"non-finite pre-activation in layer [0-2]", str(err))
+            else:
+                assert out.shape == (2, 3) and np.all(np.isfinite(out))
 
 class TestBackward:
     def test_linear_weight_gradient(self):
