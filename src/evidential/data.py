@@ -118,10 +118,6 @@ class _TrainingPart(Dataset):
     def dim(self) -> int:
         return self.parent.dim
 
-    @property
-    def class_count(self) -> int:
-        return self.parent.class_count
-
     def rows(self, idx) -> np.ndarray:
         return self.parent.features.take(self.index.take(idx), 0)
 

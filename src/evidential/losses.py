@@ -124,7 +124,8 @@ def _kl_uniform(at: np.ndarray):
     # One special-function pass over every entry of alpha_tilde, S_tilde and K.
     values = np.empty(n * k + n + 1)
     values[:n * k].reshape(n, k)[...] = at
-    st = np.add.reduce(at, 1, out=values[n * k:-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: _gamma_rows rejects it
+        st = np.add.reduce(at, 1, out=values[n * k:-1])
     values[-1] = k
     terms = _gamma_rows(values, "kl_to_uniform")
     full = terms[:, :n * k].reshape(3, n, k)

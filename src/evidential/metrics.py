@@ -24,10 +24,6 @@ class Histogram:
     counts: np.ndarray
     edges: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class EvalReport:
@@ -51,38 +47,29 @@ def roc_auc(scores, labels) -> float | None:
 
 
 def _column_aucs(scores, positive, keys, taus, counts) -> list:
-    """The tie-aware AUC of one score column over each row set
-    {keys < tau} (every row where keys is None), from one sort.
+    """The tie-aware AUC of one score column over each row set {keys < tau}, from one sort.
 
-    `counts` holds each set's size. Any two such sets are nested, so a set
-    the size of the one before is that set and reuses its AUC. A set's
-    positive rank sum is read from running counts of its rows and of its
-    positives at the edges of the groups of equal scores: each positive
-    ranks after the set's rows in lower groups and at the middle of its
-    own group. Twice that sum is an integer, so the AUC is exactly what
-    summing the mid-ranks of the set alone gives, in any order.
+    `counts` holds each set's size. A set's positive rank sum is read from
+    running counts of its rows and of its positives at the edges of the
+    groups of equal scores: each positive ranks after the set's rows in
+    lower groups and at the middle of its own group. Twice that sum is an
+    integer, so the AUC is exactly what summing the mid-ranks of the set
+    alone gives, in any order.
     """
     order = np.argsort(scores)  # the order within a group of ties never matters
     ranked = scores[order]
     edges = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
-    positive = positive[order]
-    keys = None if keys is None else keys[order]
+    positive, keys = positive[order], keys[order]
     running = np.zeros(scores.size + 1, dtype=np.intp)
     aucs = []
-    for t, (tau, count) in enumerate(zip(taus, counts)):
-        if t and count == counts[t - 1]:
-            aucs.append(aucs[-1])
-            continue
+    for tau, count in zip(taus, counts):
         if count == 0:
             aucs.append(None)
             continue
-        if count == scores.size:  # every row
-            at_edges, hits = edges, positive
-        else:
-            inside = keys < tau
-            np.cumsum(inside, out=running[1:])
-            at_edges, hits = running[edges], inside & positive
-        np.cumsum(hits, out=running[1:])
+        inside = keys < tau
+        np.cumsum(inside, out=running[1:])
+        at_edges = running[edges]
+        np.cumsum(inside & positive, out=running[1:])
         pos_at_edges = running[edges]
         n_pos = int(pos_at_edges[-1])
         n_neg = count - n_pos
@@ -95,8 +82,8 @@ def _column_aucs(scores, positive, keys, taus, counts) -> list:
 
 
 def _multiclass_aucs(p_hat: np.ndarray, class_idx: np.ndarray, keys, taus):
-    """(multiclass_auc, row count) of each row set {keys < tau} (every row
-    where keys is None), sorting each score column once; None for an empty set.
+    """(multiclass_auc, row count) of each row set {keys < tau}, sorting
+    each score column once; None for an empty set.
 
     The one input rule of every AUC entry point: a label is a class index
     0..K-1 (for K = 2, 0 or 1), and the scores used are finite. Raises the
@@ -106,17 +93,17 @@ def _multiclass_aucs(p_hat: np.ndarray, class_idx: np.ndarray, keys, taus):
     n, k = p_hat.shape
     if class_idx.shape != (n,):
         raise ValueError("scores and labels must have equal length")
-    sets = [None] * len(taus) if keys is None else [keys < tau for tau in taus]
-    counts = [n if rows is None else int(np.count_nonzero(rows)) for rows in sets]
+    sets = [keys < tau for tau in taus]
+    counts = [int(np.count_nonzero(rows)) for rows in sets]
     columns = [1] if k == 2 else range(k)
     positive = [class_idx == j for j in range(k)]
     bad_score = ~np.isfinite(p_hat[:, columns]).all(axis=1)
     bad_label = ~np.logical_or.reduce(positive)
     if bad_score.any() or bad_label.any():
         for rows in sets:
-            if (bad_score if rows is None else bad_score & rows).any():
+            if (bad_score & rows).any():
                 raise ValueError("scores must be finite")
-            if (bad_label if rows is None else bad_label & rows).any():
+            if (bad_label & rows).any():
                 raise ValueError("labels must be 0 or 1" if k == 2
                                  else f"labels must be class indices 0..{k - 1}")
     if k == 2:
@@ -132,7 +119,8 @@ def multiclass_auc(p_hat: np.ndarray, class_idx: np.ndarray) -> float | None:
     """Binary tasks score class 1 directly; K > 2 falls back to a
     one-vs-rest macro average over classes with both outcomes present."""
     p_hat = np.asarray(p_hat, dtype=np.float64)
-    (auc,), _ = _multiclass_aucs(p_hat, np.asarray(class_idx).ravel(), None, [None])
+    keys = np.zeros(p_hat.shape[:1])  # every row is in the one set {0 < 1}
+    (auc,), _ = _multiclass_aucs(p_hat, np.asarray(class_idx).ravel(), keys, [1.0])
     return auc
 
 

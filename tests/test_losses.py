@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,14 @@ class TestKLToUniform:
         with pytest.raises(ValueError) as err:
             kl_to_uniform([row])
         assert str(err.value) == "kl_to_uniform requires finite x > 0"
+
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [np.inf, -np.inf]],
+                             ids=["row_sum_overflows", "row_sum_nan"])
+    def test_bad_row_sum_raises_without_a_warning(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^kl_to_uniform requires finite x > 0$"):
+                kl_to_uniform([row])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,7 @@
 """Ranking metrics against brute-force oracles and constructions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from evidential.losses import EvidentialOutput, evidence_to_alpha
 from evidential.metrics import (
     DEFAULT_THRESHOLDS,
     EvalReport,
+    ThresholdPoint,
     auc_vs_uncertainty,
     evaluate,
     multiclass_auc,
@@ -212,7 +215,7 @@ class TestUncertaintyHistogram:
         rng = np.random.default_rng(1)
         out = output_from_evidence(rng.uniform(0, 3, size=(123, 2)))
         hist = uncertainty_histogram(out, bins=20)
-        assert hist.total == 123
+        assert hist.counts.sum() == 123
         assert hist.edges[0] == 0.0
 
     def test_all_uncertain_occupies_top_bin(self):
@@ -249,7 +252,7 @@ class TestEvaluate:
         assert (report.epoch, report.method, report.overall_auc) == (4, "tedl", 1.0)
         assert np.array_equal(view.alpha, evidence + 1.0)
         assert view.dead_fraction() == pytest.approx(1 / 3)
-        assert report.uncertainty_histogram.total == 3
+        assert report.uncertainty_histogram.counts.sum() == 3
         assert report.threshold_curve[-1].sample_count == 3
         assert evaluate(evidence, "identity", labels, 4, "tedl")[1] is None
 
@@ -307,3 +310,55 @@ def test_rank_once_curve_matches_per_subset_ranks_bit_for_bit(case):
     if out.uncertainty.size and np.isfinite(out.p_hat).all() and labels.max(initial=0) < k:
         report, _ = evaluate(out.evidence, "relu_evidence", labels, 0, "x")
         assert _bits(report.overall_auc) == _bits(all_rows)
+
+
+# Signed zeros, the smallest subnormal, the largest floats, infinities, NaN, and two
+# ordinary values, so that scores, uncertainties and thresholds tie often.
+_HOSTILE = (0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan, 0.5, 1.0)
+_FINITE = tuple(c for c in _HOSTILE if np.isfinite(c))
+
+
+@st.composite
+def _hostile_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 40))
+    cells = st.sampled_from(_HOSTILE if draw(st.booleans()) else _FINITE)
+    p_hat = np.array(draw(st.lists(cells, min_size=n * k, max_size=n * k))).reshape(n, k)
+    u = np.array(draw(st.lists(st.sampled_from(_FINITE), min_size=n, max_size=n)))
+    low, high = (-1, k) if draw(st.booleans()) else (0, k - 1)  # -1 and K are bad labels
+    labels = np.array(draw(st.lists(st.integers(low, high), min_size=n, max_size=n)), dtype=int)
+    grid = None
+    if draw(st.booleans()):
+        levels = st.sampled_from(_FINITE + (np.inf,) + tuple(u.tolist()))
+        grid = sorted(draw(st.sets(levels, min_size=1, max_size=6)))
+    return p_hat, u, labels, grid
+
+
+def _returned_or_raised(call, *args):
+    """The bits of what `call(*args)` returns, or the message of the ValueError it raises."""
+    try:
+        value = call(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(value, list):  # a curve: ThresholdPoints or the oracle's tuples
+        return [tuple(map(_bits, (p.threshold, p.auc, p.sample_count)
+                          if isinstance(p, ThresholdPoint) else p)) for p in value]
+    return _bits(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_hostile_cases())
+def test_auc_entry_points_match_the_oracles_on_hostile_input(case):
+    p_hat, u, labels, grid = case
+    out = EvidentialOutput(p_hat, p_hat, u, p_hat, u)  # u takes any finite value
+    k = p_hat.shape[1]
+    binary = np.where(labels == k, 2, np.minimum(labels, 1))  # class 0 against the rest; -1, K bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got, want in (
+            ((roc_auc, p_hat[:, 1], binary), (multiclass_auc_ranked, p_hat[:, :2], binary)),
+            ((multiclass_auc, p_hat, labels), (multiclass_auc_ranked, p_hat, labels)),
+            ((auc_vs_uncertainty, out, labels, grid),
+             (auc_vs_uncertainty_per_subset, out, labels, grid)),
+        ):
+            assert _returned_or_raised(*got) == _returned_or_raised(*want)
