@@ -5,12 +5,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import os
 import pickle
 import re
 import shutil
 import signal
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -229,28 +229,23 @@ def gen_ood_ring(n: int, d: int, radius: float, seed: int = 0, k: int = 2) -> Da
 def save_csv(dataset: Dataset, path) -> None:
     """Write `f0..f{d-1},y0..y{K-1}` rows of `%.17g` cells ending in CRLF.
 
-    The rows are split into ranges (see _row_bounds); each forked child
-    formats its range into an unnamed temporary file in `path`'s directory,
-    opened before the fork and appended in order, so the bytes do not
-    depend on the range count and no spill file is ever named beside `path`.
-    If anything fails, `path` is removed, so no partial table is left.
-    """
+    The rows are split into ranges (see _row_bounds); each forked child sends the
+    text of its range back through its pipe, appended in order, so the bytes do not
+    depend on the range count and nothing but `path` is written. If anything fails,
+    `path` is removed, so no partial table is left."""
     features, labels = dataset.features, dataset.labels
     bounds = _row_bounds(dataset.n)
     with open(path, "wb") as fh:
         try:
-            with contextlib.ExitStack() as stack:
-                spills = [stack.enter_context(tempfile.TemporaryFile(
-                    dir=os.path.dirname(os.path.abspath(path)))) for _ in bounds[2:]]
-                pipes = stack.enter_context(_children(
-                    functools.partial(_write_spill, features[a:b], labels[a:b], spill)
-                    for a, b, spill in zip(bounds[1:], bounds[2:], spills)))
+            with _children(functools.partial(_send_text, features[a:b], labels[a:b])
+                           for a, b in zip(bounds[1:], bounds[2:])) as pipes:
                 fh.write((",".join(_header(dataset.dim, dataset.class_count)) + "\r\n").encode())
                 _write_rows(fh, features[:bounds[1]], labels[:bounds[1]])
-                for pipe, spill in zip(pipes, spills):
-                    _receive(pipe)
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, fh, 1 << 20)
+                for pipe in pipes:
+                    end = fh.tell() + _receive(pipe)
+                    shutil.copyfileobj(pipe, fh, 1 << 20)
+                    if fh.tell() != end:
+                        raise RuntimeError(f"{path}: a CSV worker process sent a short range")
         except BaseException:
             fh.close()
             os.remove(path)
@@ -340,12 +335,10 @@ def _format_block(block: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _write_spill(features: np.ndarray, labels: np.ndarray, spill):
-    """A child's job: format the rows into the inherited `spill` and flush it,
-    since the child leaves through os._exit."""
-    _write_rows(spill, features, labels)
-    spill.flush()
-    return None, b""
+def _send_text(features: np.ndarray, labels: np.ndarray):
+    """A child's job: the text _write_rows makes of the rows, with its length."""
+    _write_rows(text := io.BytesIO(), features, labels)
+    return text.tell(), text.getbuffer()
 
 
 def load_csv(path) -> Dataset:

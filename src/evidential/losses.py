@@ -3,19 +3,25 @@
 Cross-entropy (stage 1) differentiates at the logits; the evidential
 losses differentiate at the evidence. Adding 1 to evidence gives the
 Dirichlet concentration alpha, so d/d(evidence) == d/d(alpha).
+The public losses return finite values or raise NumericError naming
+themselves; no numpy warning escapes them. Training calls the kernels.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import check_label_rows
-from .ndcore import as_matrix
+from .ndcore import NumericError, _all_finite, as_matrix
 from .specfun import _gamma_rows
 
 _LOG_CLAMP = 1e-15
+# K values each below this / K sum inside the float range, with a factor 2 to spare for rounding
+_ROW_SUM_SAFE = sys.float_info.max / 2.0
 
 
 @dataclass(eq=False)
@@ -42,7 +48,8 @@ class LossValue:
 
 def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
     """Shift evidence by +1 into Dirichlet parameters and derive
-    strength, expected probabilities and uncertainty."""
+    strength, expected probabilities and uncertainty. NumericError if
+    evidence is NaN or inf or a row's strength leaves the float range."""
     e = as_matrix(evidence)
     if head == "relu_evidence":
         if np.logical_or.reduce(e < 0.0, None):
@@ -53,7 +60,13 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
     else:
         raise ValueError(f"not an evidence head: {head!r}")
     alpha = e + 1.0
-    strength = np.add.reduce(alpha, 1)
+    if float(np.maximum.reduce(alpha, None, initial=-np.inf)) * alpha.shape[1] < _ROW_SUM_SAFE:
+        strength = np.add.reduce(alpha, 1)  # no row can overflow (a NaN fails the test)
+    else:
+        with np.errstate(over="ignore"):
+            strength = np.add.reduce(alpha, 1)
+        if not _all_finite(strength):
+            raise NumericError("non-finite strength in evidence_to_alpha")
     p_hat = alpha / strength[:, None]
     uncertainty = alpha.shape[1] / strength
     return EvidentialOutput(
@@ -63,6 +76,16 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
         p_hat=p_hat,
         uncertainty=uncertainty,
     )
+
+
+def _finite_loss(name: str, kernel, *args):
+    """kernel(*args) as (loss, grad), run with numpy's floating-point warnings off;
+    NumericError naming `name` unless both are finite (a LossValue by its total)."""
+    with np.errstate(all="ignore"):
+        loss, grad = kernel(*args)
+    if not (math.isfinite(getattr(loss, "total", loss)) and _all_finite(grad)):
+        raise NumericError(f"non-finite loss or gradient in {name}")
+    return loss, grad
 
 
 def _checked_labels(like: np.ndarray, y, what: str) -> np.ndarray:
@@ -98,7 +121,7 @@ def edl_base_loss(out: EvidentialOutput, y):
 
     Returns (batch mean, gradient w.r.t. evidence).
     """
-    return _edl_base(out, _checked_labels(out.alpha, y, "alpha"))
+    return _finite_loss("edl_base_loss", _edl_base, out, _checked_labels(out.alpha, y, "alpha"))
 
 
 def _alpha_tilde(alpha: np.ndarray, y_hard: np.ndarray) -> np.ndarray:
@@ -116,7 +139,11 @@ def make_alpha_tilde(alpha, y):
     y = _checked_labels(alpha, y, "alpha")
     if not np.all((np.abs(y) < 1e-12) | (np.abs(y - 1.0) < 1e-12)):
         raise ValueError("alpha_tilde requires one-hot labels")
-    return _alpha_tilde(alpha, y)
+    with np.errstate(all="ignore"):
+        at = _alpha_tilde(alpha, y)
+    if not _all_finite(at):
+        raise NumericError("non-finite alpha_tilde in make_alpha_tilde")
+    return at
 
 
 def _kl_uniform(at: np.ndarray):
@@ -148,7 +175,7 @@ def kl_to_uniform(alpha_tilde):
     Returns (batch mean, gradient w.r.t. alpha_tilde); every entry must
     be finite and > 0 (the special-function domain check).
     """
-    return _kl_uniform(as_matrix(alpha_tilde))
+    return _finite_loss("kl_to_uniform", _kl_uniform, as_matrix(alpha_tilde))
 
 
 def harden_labels(y) -> np.ndarray:
@@ -177,7 +204,7 @@ def edl_total_loss(out: EvidentialOutput, y, lambda_t: float):
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError("lambda_t must lie in [0, 1]")
     y = _checked_labels(out.alpha, y, "alpha")
-    return _edl_total(out, y, harden_labels(y), lambda_t)
+    return _finite_loss("edl_total_loss", _edl_total, out, y, harden_labels(y), lambda_t)
 
 
 def lambda_schedule(epoch_t: int, lam: float) -> float:
@@ -204,5 +231,6 @@ def cross_entropy_loss(probs, y):
     before the log.
     """
     p = as_matrix(probs)
-    loss, grad_logits = _cross_entropy(p, _checked_labels(p, y, "probability"))
+    loss, grad_logits = _finite_loss("cross_entropy_loss", _cross_entropy, p,
+                                     _checked_labels(p, y, "probability"))
     return loss.total, grad_logits

@@ -1079,13 +1079,29 @@ class TestCsvRanges:
         path = tmp_path / "d.csv"
         save_csv(RANGED_DATASET, path)
         forks = _force_ranges(monkeypatch, 2)
-        job = "_write_spill" if call == "save_csv" else "_send_rows"
+        job = "_send_text" if call == "save_csv" else "_send_rows"
         monkeypatch.setattr(data, job, lambda *args: os._exit(3))
         with pytest.raises(RuntimeError) as err:
             save_csv(RANGED_DATASET, path) if call == "save_csv" else load_csv(path)
         assert str(err.value) == "a CSV worker process exited without a result"
         assert len(forks) == 1
         # a failed save_csv removes the table it had begun, so no partial one is ever read
+        _assert_clean(tmp_path, [] if call == "save_csv" else ["d.csv"])
+
+    @pytest.mark.parametrize("call", ["save_csv", "load_csv"])
+    def test_a_child_that_sends_a_short_range_fails_the_call(self, tmp_path, monkeypatch, call):
+        # as a child killed while it sends its range would: the result, then part of the bytes
+        path = tmp_path / "d.csv"
+        save_csv(RANGED_DATASET, path)
+        forks = _force_ranges(monkeypatch, 2)
+        if call == "save_csv":
+            monkeypatch.setattr(data, "_send_text", lambda *args: (100, b"1,0,1\r\n"))
+        else:
+            monkeypatch.setattr(data, "_send_rows", lambda *args: ((100, 100), bytes(8)))
+        with pytest.raises(RuntimeError) as err:
+            save_csv(RANGED_DATASET, path) if call == "save_csv" else load_csv(path)
+        assert str(err.value) == f"{path}: a CSV worker process sent a short range"
+        assert len(forks) == 1
         _assert_clean(tmp_path, [] if call == "save_csv" else ["d.csv"])
 
     @pytest.mark.parametrize("ranges", [2, 3])

@@ -17,7 +17,8 @@ from evidential.losses import (
     lambda_schedule,
     make_alpha_tilde,
 )
-from evidential.ndcore import softmax
+from evidential.ndcore import NumericError, softmax
+from evidential.specfun import digamma, ln_gamma
 from oracles import edl_base_loss_phat_form, kl_uniform_full_pass
 
 
@@ -498,3 +499,120 @@ def test_each_argument_error_has_its_message(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def _elu(evidence):
+    return evidence_to_alpha(evidence, "elu_evidence")
+
+
+# Each public loss call on hostile input either returns finite values or raises NumericError,
+# and leaks no numpy warning
+@pytest.mark.parametrize("call, message", [
+    (lambda: kl_to_uniform([[5e-324, 5e-324]]), "non-finite loss or gradient in kl_to_uniform"),
+    (lambda: kl_to_uniform([[1.7e308, 1.0]]), "non-finite loss or gradient in kl_to_uniform"),
+    (lambda: evidence_to_alpha([[0, np.inf], [0.5, 0.5]], "relu_evidence"),
+     "non-finite strength in evidence_to_alpha"),
+    (lambda: evidence_to_alpha([[1.7e308, 1.7e308], [0.5, 0.2]], "relu_evidence"),
+     "non-finite strength in evidence_to_alpha"),
+    (lambda: evidence_to_alpha([[np.nan, 0.0], [0.5, 0.2]], "relu_evidence"),
+     "non-finite strength in evidence_to_alpha"),
+    (lambda: evidence_to_alpha([[np.nan, 0.0]], "elu_evidence"),
+     "non-finite strength in evidence_to_alpha"),
+    (lambda: cross_entropy_loss([[0, np.inf], [0.5, 0.5]], np.eye(2)),
+     "non-finite loss or gradient in cross_entropy_loss"),
+    (lambda: make_alpha_tilde([[np.inf, 1.0]], [[1, 0]]),
+     "non-finite alpha_tilde in make_alpha_tilde"),
+], ids=["kl_subnormal", "kl_large", "alpha_inf", "alpha_row_sum_overflows", "alpha_nan_relu",
+        "alpha_nan_elu", "ce_inf", "alpha_tilde_inf"])
+def test_hostile_call_raises_numeric_error_without_a_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: edl_base_loss(_elu([[0, 1.7e308], [0.5, 0.2]]), np.eye(2)),
+    lambda: edl_total_loss(_elu([[1e200, 0.0]]), [[1, 0]], 0.5),
+], ids=["base_loss", "total_loss"])
+def test_huge_strength_gives_a_finite_loss_without_a_warning(call):
+    # s * (s + 1) overflows, so the gradient's variance terms are 0, as their true
+    # values lie below the smallest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = call()
+    assert math.isfinite(getattr(loss, "total", loss)) and np.isfinite(grad).all()
+
+
+def test_row_sum_near_the_float_maximum_keeps_its_value():
+    # past the quick bound, so its strength is summed again and checked: still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evidence_to_alpha([[1e308, 0.0], [0.5, 0.2]], "relu_evidence")
+    assert np.array_equal(out.strength, [1e308, 2.7])
+    assert np.array_equal(out.p_hat[0], [1.0, 1e-308])
+
+
+_HOSTILE_CELLS = [0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan, 0.3, 1.0, 2.5]
+
+
+def _finite_or_value_error(call, *args):
+    """call(*args), or None if it raises ValueError (NumericError among them)."""
+    try:
+        return call(*args)
+    except ValueError:
+        return None
+
+
+def _assert_finite_loss(result):
+    if result is not None:
+        loss, grad = result
+        assert math.isfinite(getattr(loss, "total", loss)) and np.isfinite(grad).all()
+
+
+def _assert_float_range_rule(name, function, cells):
+    """README: a finite x > 0 never raises and gives +-inf exactly where the true value
+    leaves the float range; any other x raises ValueError."""
+    mpmath = pytest.importorskip("mpmath")
+    if not (np.isfinite(cells) & (cells > 0)).all():
+        with pytest.raises(ValueError, match=f"^{name} requires finite x > 0$"):
+            function(cells)
+        return
+    truth = {"ln_gamma": mpmath.loggamma, "digamma": mpmath.digamma}[name]
+    want = np.array([float(truth(mpmath.mpf(x))) for x in cells.ravel()]).reshape(cells.shape)
+    got = function(cells)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got[np.isinf(got)], want[np.isinf(want)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_public_losses_return_finite_values_or_raise_value_error(data):
+    # 1-4 rows of 2-4 cells at 0, +-5e-324, +-1.7e308, +-inf, NaN and a few ordinary values;
+    # label rows one-hot or uniform (hardened for alpha_tilde)
+    rows, k = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 4))
+    cells = np.array(data.draw(st.lists(st.sampled_from(_HOSTILE_CELLS), min_size=rows * k,
+                                        max_size=rows * k))).reshape(rows, k)
+    y = np.array([np.full(k, 1.0 / k) if c == k else onehot([c], k)[0]
+                  for c in data.draw(st.lists(st.integers(0, k), min_size=rows, max_size=rows))])
+    y_hard = harden_labels(y)
+    lambda_t = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for head in ("relu_evidence", "elu_evidence"):
+            out = _finite_or_value_error(evidence_to_alpha, cells, head)
+            if out is not None:
+                for part in (out.alpha, out.strength, out.p_hat, out.uncertainty):
+                    assert np.isfinite(part).all()
+                _assert_finite_loss(_finite_or_value_error(edl_base_loss, out, y))
+                _assert_finite_loss(_finite_or_value_error(edl_total_loss, out, y, lambda_t))
+                at = _finite_or_value_error(make_alpha_tilde, out.alpha, y_hard)
+                if at is not None:
+                    _assert_finite_loss(_finite_or_value_error(kl_to_uniform, at))
+        at = _finite_or_value_error(make_alpha_tilde, cells, y_hard)
+        assert at is None or np.isfinite(at).all()
+        _assert_finite_loss(_finite_or_value_error(kl_to_uniform, cells))
+        _assert_finite_loss(_finite_or_value_error(cross_entropy_loss, cells, y))
+        _assert_float_range_rule("ln_gamma", ln_gamma, cells)
+        _assert_float_range_rule("digamma", digamma, cells)
