@@ -59,6 +59,8 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
             raise ValueError("elu_evidence requires evidence > -1")
     else:
         raise ValueError(f"not an evidence head: {head!r}")
+    if not e.shape[1]:
+        raise ValueError("evidence_to_alpha requires at least one column")
     alpha = e + 1.0
     if float(np.maximum.reduce(alpha, None, initial=-np.inf)) * alpha.shape[1] < _ROW_SUM_SAFE:
         strength = np.add.reduce(alpha, 1)  # no row can overflow (a NaN fails the test)
@@ -80,7 +82,10 @@ def evidence_to_alpha(evidence, head: str) -> EvidentialOutput:
 
 def _finite_loss(name: str, kernel, *args):
     """kernel(*args) as (loss, grad), run with numpy's floating-point warnings off;
+    ValueError if the batch (the first argument, or its alpha) has no rows, and
     NumericError naming `name` unless both are finite (a LossValue by its total)."""
+    if not getattr(args[0], "alpha", args[0]).shape[0]:
+        raise ValueError(f"{name} requires a batch of at least one row")
     with np.errstate(all="ignore"):
         loss, grad = kernel(*args)
     if not (math.isfinite(getattr(loss, "total", loss)) and _all_finite(grad)):
@@ -111,7 +116,8 @@ def _edl_base(out: EvidentialOutput, y: np.ndarray):
     value = float(np.add.reduce(per_sample) / n)
 
     g_fit = 2.0 * (resid - inner) / s
-    g_var = -2.0 * (p - q) / (s * s_plus_1) - one_minus_q / (s_plus_1 * s_plus_1)
+    with np.errstate(over="ignore"):  # s(s + 1) past the float maximum: those terms are 0
+        g_var = -2.0 * (p - q) / (s * s_plus_1) - one_minus_q / (s_plus_1 * s_plus_1)
     grad = (g_fit + g_var) / n
     return value, grad
 
@@ -169,6 +175,19 @@ def _kl_uniform(at: np.ndarray):
     return value, grad
 
 
+def _kl_binary(alpha: np.ndarray, y_hard: np.ndarray):
+    """`_kl_uniform(_alpha_tilde(alpha, y_hard))` for K = 2, with no gradient to the true
+    class. alpha_tilde is (1, a), so KL = ln a + 1/a - 1, taken as log1p(a - 1) - (a - 1)/a
+    to keep its accuracy near a = 1, and d/da = ((a - 1)/a)/a, which cannot overflow."""
+    n = alpha.shape[0]
+    off = 1.0 - y_hard
+    a = np.add.reduce(alpha * off, 1)
+    a_less_1 = a - 1.0
+    ratio = a_less_1 / a
+    value = float(np.add.reduce(np.log1p(a_less_1) - ratio) / n)
+    return value, off * (ratio / a / n)[:, None]
+
+
 def kl_to_uniform(alpha_tilde):
     """KL divergence from Dirichlet(alpha_tilde) to the flat Dirichlet.
 
@@ -189,8 +208,12 @@ def harden_labels(y) -> np.ndarray:
 def _edl_total(out: EvidentialOutput, y: np.ndarray, y_hard: np.ndarray, lambda_t: float):
     """`edl_total_loss` on checked label rows `y` and `y_hard = harden_labels(y)`."""
     base_value, grad = _edl_base(out, y)
-    kl_value, kl_grad = _kl_uniform(_alpha_tilde(out.alpha, y_hard))
-    grad += lambda_t * (1.0 - y_hard) * kl_grad
+    if y_hard.shape[1] == 2:  # alpha_tilde = (1, a): no special function
+        kl_value, kl_grad = _kl_binary(out.alpha, y_hard)
+    else:
+        kl_value, kl_grad = _kl_uniform(_alpha_tilde(out.alpha, y_hard))
+        kl_grad *= 1.0 - y_hard
+    grad += lambda_t * kl_grad
     return LossValue(total=base_value + lambda_t * kl_value, base=base_value, kl=kl_value), grad
 
 

@@ -327,6 +327,104 @@ class TestKlPassBits:
         assert seen == [n * k + n + 1]  # every entry, each row's S_tilde and K
 
 
+class TestKlBinary:
+    """The K = 2 closed form: alpha_tilde = (1, a), KL = ln a + 1/a - 1, d/da = (a - 1)/a^2."""
+
+    # relative bound on the value away from a = 1, and on the gradient everywhere
+    RELATIVE = 4e-16
+    # on (1/2, 2) the value is about (a - 1)^2 / 2 and its error at most 2^-52 |a - 1|
+    NEAR_ONE = 2.0 ** -52
+
+    def _oracle_points(self):
+        grid = list(np.logspace(-15.0, 300.0, 316))
+        return grid + [1.0 + s * 2.0 ** -k for k in range(1, 53) for s in (1.0, -1.0)]
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            for i, a in enumerate(self._oracle_points()):
+                true_class = i % 2
+                alpha = np.full((1, 2), 3.0)
+                alpha[0, 1 - true_class] = a
+                value, grad = losses._kl_binary(alpha, onehot([true_class], 2))
+                x = mpmath.mpf(a)
+                want = mpmath.log(x) + 1 / x - 1
+                want_grad = (x - 1) / (x * x)
+                if a <= 0.5 or a >= 2.0:
+                    assert abs(value - want) <= self.RELATIVE * abs(want), a
+                else:
+                    assert abs(value - want) <= self.NEAR_ONE * abs(a - 1.0), a
+                assert abs(grad[0, 1 - true_class] - want_grad) <= self.RELATIVE * abs(want_grad), a
+                assert grad[0, true_class] == 0.0
+
+    @pytest.mark.parametrize("labels", ["hard", "soft"])
+    def test_matches_the_general_pass_where_it_is_accurate(self, labels):
+        rng = np.random.default_rng(21)
+        n = 256
+        alpha = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), (n, 2)))
+        alpha[rng.random((n, 2)) < 0.1] = 1.0  # evidence of exactly 0
+        y = (onehot(rng.integers(0, 2, n), 2) if labels == "hard"
+             else softmax(3.0 * rng.normal(size=(n, 2))))
+        y_hard = harden_labels(y)
+        value, grad = losses._kl_binary(alpha, y_hard)
+        want_value, want_grad = losses._kl_uniform(losses._alpha_tilde(alpha, y_hard))
+        assert value == pytest.approx(want_value, rel=1e-12)
+        np.testing.assert_allclose(grad, (1.0 - y_hard) * want_grad, rtol=1e-11, atol=1e-18)
+
+    @pytest.mark.parametrize("evidence, head", [
+        ([[1e306, 0.0], [0.0, 1e306]], "relu_evidence"),
+        ([[1.7e308, 0.0], [0.0, 1.7e308]], "relu_evidence"),
+        ([[1.7e308, -1.0 + 1e-15], [-1.0 + 1e-15, 1.7e308]], "elu_evidence"),
+    ], ids=["1e306", "float_max", "float_max_and_1e-15"])
+    def test_training_batch_at_the_extremes_is_finite_without_a_warning(self, evidence, head):
+        # the closed form and the base kernel, called as stage 2 calls them: s(s + 1)
+        # overflows in the base term's gradient and a reaches 1.7e308 or 1e-15 in the KL term
+        y = onehot([0, 0], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evidence_to_alpha(evidence, head)
+            loss, grad = losses._edl_total(out, y, y, 0.5)
+            kl_value, kl_grad = losses._kl_binary(out.alpha, y)
+        assert math.isfinite(loss.total) and np.isfinite(grad).all()
+        assert math.isfinite(kl_value) and np.isfinite(kl_grad).all()
+        assert kl_grad[1, 1] > 0.0
+
+    def test_gradient_matches_finite_differences_through_the_total_loss(self):
+        rng = np.random.default_rng(23)
+        e = np.concatenate([rng.uniform(-0.8, 5.0, (6, 2)), rng.uniform(20.0, 500.0, (2, 2)),
+                            [[1e-3, 2e-3], [0.5, -1e-3]]])
+        y = onehot(rng.integers(0, 2, len(e)), 2)
+        h = 1e-6
+        for lam in (0.3, 1.0):
+            _, grad = edl_total_loss(evidence_to_alpha(e, "elu_evidence"), y, lam)
+            for i, j in np.ndindex(e.shape):
+                step = h * max(1.0, abs(e[i, j]))
+                ep, em = e.copy(), e.copy()
+                ep[i, j] += step
+                em[i, j] -= step
+                fd = (edl_total_loss(evidence_to_alpha(ep, "elu_evidence"), y, lam)[0].total
+                      - edl_total_loss(evidence_to_alpha(em, "elu_evidence"), y, lam)[0].total
+                      ) / (2 * step)
+                if abs(fd) > 1e-7:
+                    assert abs(grad[i, j] - fd) / abs(fd) < 1e-4
+
+    @pytest.mark.parametrize("k, calls", [(2, 0), (3, 1)])
+    def test_only_the_binary_case_skips_the_special_function_pass(self, monkeypatch, k, calls):
+        seen = []
+        real = losses._gamma_rows
+
+        def gamma_rows(flat, name="gamma_terms"):
+            seen.append(flat.size)
+            return real(flat, name)
+
+        monkeypatch.setattr(losses, "_gamma_rows", gamma_rows)
+        rng = np.random.default_rng(7)
+        y = onehot(np.arange(16) % k, k)
+        out = evidence_to_alpha(rng.uniform(0.0, 4.0, (16, k)), "relu_evidence")
+        losses._edl_total(out, y, y, 0.5)
+        assert len(seen) == calls
+
+
 class TestTotalLoss:
     def test_lambda_zero_equals_base(self):
         out = evidence_to_alpha([[4.0, 2.0]], "relu_evidence")
@@ -479,8 +577,8 @@ def test_harden_labels():
     )
 
 
-def _elu_output():
-    return evidence_to_alpha(np.ones((3, 2)), "elu_evidence")
+def _elu_output(rows=3, k=2):
+    return evidence_to_alpha(np.ones((rows, k)), "elu_evidence")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -493,8 +591,20 @@ def _elu_output():
     (lambda: edl_total_loss(_elu_output(), onehot([0, 1, 0], 2), float("nan")),
      "lambda_t must lie in [0, 1]"),
     (lambda: lambda_schedule(-1, 0.1), "epoch index must be >= 0"),
+    (lambda: cross_entropy_loss(np.zeros((0, 2)), np.zeros((0, 2))),
+     "cross_entropy_loss requires a batch of at least one row"),
+    (lambda: kl_to_uniform(np.zeros((0, 2))), "kl_to_uniform requires a batch of at least one row"),
+    (lambda: edl_base_loss(_elu_output(0), np.zeros((0, 2))),
+     "edl_base_loss requires a batch of at least one row"),
+    (lambda: edl_total_loss(_elu_output(0, 3), np.zeros((0, 3)), 0.5),
+     "edl_total_loss requires a batch of at least one row"),
+    (lambda: evidence_to_alpha(np.zeros((2, 0)), "relu_evidence"),
+     "evidence_to_alpha requires at least one column"),
+    (lambda: evidence_to_alpha(np.zeros((0, 0)), "elu_evidence"),
+     "evidence_to_alpha requires at least one column"),
 ], ids=["base_shape", "alpha_tilde_shape", "ce_shape", "lambda_t_above_1", "lambda_t_nan",
-        "negative_epoch"])
+        "negative_epoch", "ce_no_rows", "kl_no_rows", "base_no_rows", "total_no_rows",
+        "alpha_no_columns", "alpha_empty"])
 def test_each_argument_error_has_its_message(call, message):
     with pytest.raises(ValueError) as err:
         call()
