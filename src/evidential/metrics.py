@@ -135,6 +135,8 @@ def auc_vs_uncertainty(
     """
     labels = np.asarray(labels).ravel()
     u = out.uncertainty
+    if not u.size:
+        raise ValueError("auc_vs_uncertainty requires at least one row")
     if thresholds is None:
         cover_all = np.nextafter(float(u.max()), np.inf)
         grid = sorted(set(float(t) for t in DEFAULT_THRESHOLDS) | {cover_all})
@@ -149,9 +151,11 @@ def auc_vs_uncertainty(
 
 def uncertainty_histogram(out: losses.EvidentialOutput, bins: int) -> Histogram:
     """Equal-width bins over [0, max(1, max u)]; counts sum to n."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError("bins must be an integer >= 1")
     u = out.uncertainty
+    if not u.size:
+        raise ValueError("uncertainty_histogram requires at least one row")
     hi = max(1.0, float(u.max()))
     counts, edges = np.histogram(u, bins=bins, range=(0.0, hi))
     return Histogram(counts=counts, edges=edges)

@@ -238,6 +238,9 @@ def init_network(
     sizes = list(sizes)
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
+               for s in sizes):
+        raise ValueError(f"layer sizes must be integers >= 1, got {sizes}")
     if sizes[-1] < 2:
         raise ValueError("output size (class count) must be >= 2")
     if init_mode not in INIT_MODES:

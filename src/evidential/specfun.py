@@ -7,8 +7,6 @@ numpy arrays; scalar in, scalar out.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 _HALF_LOG_2PI = 0.9189385332046727417803297364056176
@@ -31,47 +29,6 @@ _SIGNED_COEFFS = _SERIES_COEFFS * np.array([1.0, -1.0, 1.0])[:, None]
 
 _SHIFT_THRESHOLD = 10.0
 _PASS = 4096  # most values per pass
-_COLUMNS = np.arange(3 * _PASS)
-
-
-class _Scratch(threading.local):
-    """The work arrays of a pass, as views of one flat float64 buffer that
-    is kept between calls and grown on demand to one full pass (81 cells a
-    value: about 2.6 MB at _PASS values). So a call faults in no fresh
-    pages and allocates only its results. Each pass writes every cell
-    before it reads it, so nothing carries over from one call to the next.
-    Each thread has its own buffer, so concurrent calls never share one."""
-
-    ROWS = 81
-
-    def __init__(self):
-        self.buf = np.empty(0)
-        self.m, self.views = 0, ()
-
-    def work(self, m: int):
-        """The views of an m-value pass, made once per m: steps (11, m) and
-        its row pairs, sums (11, 3, m) with its three (10, m) term blocks
-        and the pairs of its running rows, series (8, 3, m) and its row
-        pairs, (m,) rows for z, ln z, 1/z and 1/z^2, the (3, m) shift sums,
-        a (3, m) intp index block, the (m,) intp shift counts, a (10, m)
-        bool block, and the column numbers 0..m-1 and 0..3m-1 as (3, m)."""
-        if m != self.m:
-            if self.buf.size < self.ROWS * m:
-                self.buf = np.empty(self.ROWS * m)
-            rows = self.buf[:self.ROWS * m].reshape(self.ROWS, m)
-            steps, sums = rows[:11], rows[11:44].reshape(11, 3, m)
-            series, index = rows[44:68].reshape(8, 3, m), rows[75:78].view(np.intp)
-            self.m, self.views = m, (
-                steps, tuple(zip(steps, steps[1:])),
-                sums, sums[1:, 0], sums[1:, 1], sums[1:, 2], tuple(zip(sums[1:-1], sums[2:])),
-                series, tuple(zip(series, series[1:])), *rows[68:72], rows[72:75],
-                index, index[0], rows[78].view(np.intp),
-                rows[79:].reshape(-1).view(np.bool_)[:10 * m].reshape(10, m),
-                _COLUMNS[:m], _COLUMNS[:3 * m].reshape(3, m))
-        return self.views
-
-
-_SCRATCH = _Scratch()
 
 
 def _gamma_terms(x, name: str = "gamma_terms"):
@@ -85,8 +42,8 @@ def _gamma_terms(x, name: str = "gamma_terms"):
 
 def _gamma_rows(flat: np.ndarray, name: str = "gamma_terms") -> np.ndarray:
     """The (3, n) rows ln Gamma, digamma and trigamma of the 1-D float64
-    `flat` > 0, worked out _PASS values at a time; the result never shares
-    memory with the scratch buffer."""
+    `flat` > 0, worked out _PASS values at a time, which bounds the
+    temporaries of a pass."""
     if flat.size and not (np.minimum.reduce(flat) > 0.0
                           and np.maximum.reduce(flat) < np.inf):  # NaN fails both
         raise ValueError(f"{name} requires finite x > 0")
@@ -115,48 +72,39 @@ def _shift_and_series(x: np.ndarray, out: np.ndarray) -> None:
     division by zero.
     """
     m = x.size
-    (steps, step_pairs, sums, log_terms, inv_terms, inv2_terms, sum_pairs, series, series_pairs,
-     z, log_z, inv_z, inv2, shift, index, z_index, shifts, below, columns,
-     columns3) = _SCRATCH.work(m)
+    steps = np.empty((11, m))
     steps[0] = x
-    for a, b in step_pairs:
-        np.add(a, 1.0, b)
-    np.less(steps[:-1], _SHIFT_THRESHOLD, below)
-    np.add.reduce(below, 0, np.intp, shifts)
-    np.multiply(shifts, m, z_index)
-    z_index += columns
-    steps.take(z_index, None, z, "clip")  # steps[shifts[j], j] for each j
+    row = steps[0]
+    for later in steps[1:]:  # each row is viewed once: a step feeds the next
+        row = np.add(row, 1.0, later)
+    terms = steps[:-1]
+    shifts = np.add.reduce(terms < _SHIFT_THRESHOLD, 0, np.intp)
+    columns = np.arange(3 * m).reshape(3, m)
+    z = steps.take(shifts * m + columns[0])  # steps[shifts[j], j] for each j
+    sums = np.empty((11, 3, m))
     sums[0] = 0.0
-    np.log(steps[:-1], log_terms)
-    np.divide(1.0, steps[:-1], inv_terms)
-    np.log(z, log_z)
-    np.divide(1.0, z, inv_z)
-    np.multiply(steps[:-1], steps[:-1], inv2_terms)
-    np.divide(-1.0, inv2_terms, inv2_terms)
-    np.multiply(z, z, inv2)
-    np.divide(1.0, inv2, inv2)
-    for a, b in sum_pairs:
-        b += a
-    shifts *= 3 * m
-    np.add(shifts, columns3, index)
-    sums.take(index, None, shift, "clip")  # sums[shifts[j], :, j] for each j
-    series[0, 0], series[0, 1] = inv_z, inv2
-    np.divide(inv2, z, series[0, 2])
-    inv2_rows = sums[1]  # sums is read; multiplying by a (3, m) block beats broadcasting
-    inv2_rows[...] = inv2
-    for a, b in series_pairs:
-        np.multiply(a, inv2_rows, b)
+    np.log(terms, sums[1:, 0])
+    np.divide(1.0, terms, sums[1:, 1])
+    np.multiply(terms, terms, sums[1:, 2])
+    np.divide(-1.0, sums[1:, 2], sums[1:, 2])
+    row = sums[1]
+    for later in sums[2:]:
+        row = np.add(row, later, later)
+    shift = sums.take(shifts * (3 * m) + columns)  # sums[shifts[j], :, j] for each j
+    log_z, inv_z = np.log(z), 1.0 / z
+    inv2 = np.array((1.0 / (z * z),) * 3)  # a (3, m) block multiplies faster than a row
+    # sums has been read, so its rows take the series; with a block of their own,
+    # repeated full passes faulted their pages back in each time
+    series = sums[:8]
+    series[0] = inv_z, inv2[0], inv2[0] / z
+    row = series[0]
+    for later in series[1:]:
+        row = np.multiply(row, inv2, later)
     series *= _SIGNED_COEFFS
-    lg, dg, tg = out
-    np.subtract(z, 0.5, lg)
-    lg *= log_z
-    lg -= z
-    lg += _HALF_LOG_2PI
-    np.divide(0.5, z, dg)
-    np.subtract(log_z, dg, dg)
-    np.multiply(0.5, inv2, tg)
-    tg += inv_z
-    out += np.add.reduce(series, 0, None, sums[0])  # adds row by row, in order
+    out[0] = (z - 0.5) * log_z - z + _HALF_LOG_2PI
+    out[1] = log_z - 0.5 / z
+    out[2] = 0.5 * inv2[0] + inv_z
+    out += np.add.reduce(series, 0)  # adds row by row, in order
     out -= shift
 
 

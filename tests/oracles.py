@@ -142,6 +142,8 @@ def auc_vs_uncertainty_per_subset(out: EvidentialOutput, labels, grid=None):
     ranked on its own: the curve `metrics.auc_vs_uncertainty` must match.
     The default grid is the decade grid plus a point just above max u."""
     labels = np.asarray(labels).ravel()
+    if not out.uncertainty.size:
+        raise ValueError("auc_vs_uncertainty requires at least one row")
     if grid is None:
         cover_all = np.nextafter(float(out.uncertainty.max()), np.inf)
         grid = sorted(set(np.round(np.arange(0.1, 1.01, 0.1), 10).tolist()) | {cover_all})

@@ -234,6 +234,31 @@ class TestUncertaintyHistogram:
         with pytest.raises(ValueError):
             uncertainty_histogram(out, bins=0)
 
+    @pytest.mark.parametrize("bins", [2.5, 2.0, True, "3", None])
+    def test_bins_must_be_an_integer(self, bins):
+        out = output_from_evidence([[1.0, 0.0]])
+        with pytest.raises(ValueError) as err:
+            uncertainty_histogram(out, bins)
+        assert str(err.value) == "bins must be an integer >= 1"
+
+    def test_numpy_integer_bins(self):
+        out = output_from_evidence([[1.0, 0.0], [0.0, 3.0]])
+        hist = uncertainty_histogram(out, np.int64(4))
+        assert hist.counts.tolist() == uncertainty_histogram(out, 4).counts.tolist()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda out: auc_vs_uncertainty(out, np.zeros(0, dtype=int)), "auc_vs_uncertainty"),
+    (lambda out: auc_vs_uncertainty(out, np.zeros(0, dtype=int), thresholds=[0.5]),
+     "auc_vs_uncertainty"),
+    (lambda out: uncertainty_histogram(out, bins=20), "uncertainty_histogram"),
+], ids=["default_grid", "given_grid", "histogram"])
+def test_a_view_of_no_rows_is_named(call, name):
+    out = evidence_to_alpha(np.zeros((0, 2)), "relu_evidence")
+    with pytest.raises(ValueError) as err:
+        call(out)
+    assert str(err.value) == f"{name} requires at least one row"
+
 
 class TestEvaluate:
     def test_probability_outputs_skip_uncertainty(self):

@@ -299,6 +299,12 @@ class TestInit:
         with pytest.raises(ValueError):
             init_network([2, 1], head="softmax", seed=0)
 
+    def test_numpy_integer_sizes_build_the_same_network(self):
+        plain = init_network([3, 4, 2], seed=0)
+        numpy_ints = init_network(np.array([3, 4, 2]), seed=0)
+        for a, b in zip(plain.layers, numpy_ints.layers):
+            assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
 
 class TestSwapHead:
     def test_involution_preserves_outputs(self):
@@ -343,8 +349,12 @@ def _layer(fan_in, fan_out):
      "consecutive layer shapes do not compose"),
     (lambda: Network([_layer(2, 3)], "softmax", 2), "final layer fan_out must equal class_count"),
     (lambda: init_network([2, 2], init_mode="x"), "unknown init_mode 'x'"),
+    (lambda: init_network([3.5, 4, 2]), "layer sizes must be integers >= 1, got [3.5, 4, 2]"),
+    (lambda: init_network([3, 0, 2]), "layer sizes must be integers >= 1, got [3, 0, 2]"),
+    (lambda: init_network([3, True, 2]), "layer sizes must be integers >= 1, got [3, True, 2]"),
+    (lambda: init_network([3, 4.0, 2]), "layer sizes must be integers >= 1, got [3, 4.0, 2]"),
 ], ids=["matrix_ndim", "layer_ndim", "head", "no_layers", "class_count", "compose", "fan_out",
-        "init_mode"])
+        "init_mode", "size_float", "size_zero", "size_bool", "size_integral_float"])
 def test_each_construction_error_has_its_message(build, message):
     with pytest.raises(ValueError) as err:
         build()

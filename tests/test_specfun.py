@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,20 +166,32 @@ def test_stacked_kernel_matches_loop_form_bit_for_bit(m):
 
 
 def test_kept_buffer_carries_nothing_between_calls():
-    # Alternate sizes, so that each pass reuses cells an earlier, larger or
-    # smaller pass wrote; every result must still match the loop form, and
-    # must own its memory.
+    # Alternate sizes, with a full pass between calls; every result must
+    # still match the loop form, and must not change after a later call.
     rng = np.random.default_rng(3)
     for m in [4097, 1, 1409, 257, 4096, 3, 2817, 385, 4097, 0, 513]:
         xs = np.exp(rng.uniform(-20, 20, m))
         results = _gamma_terms(xs)
         for stacked, loop in zip(results, gamma_terms_loop(xs)):
             assert _same_bits(stacked, loop)
-            assert not np.shares_memory(stacked, specfun._SCRATCH.buf)
-        _gamma_terms(rng.random(4096) + 1e-3)  # overwrites every cell the next call reads
+        _gamma_terms(rng.random(4096) + 1e-3)
         for stacked, loop in zip(results, gamma_terms_loop(xs)):
             assert _same_bits(stacked, loop)
-    assert specfun._SCRATCH.buf.size == specfun._Scratch.ROWS * specfun._PASS
+
+
+@pytest.mark.parametrize("n", [20_000, 200_000])
+def test_work_memory_is_bounded_by_one_pass(n):
+    # A pass's work arrays take about 2 MB at _PASS values and are freed
+    # before the next pass, so the peak above the (3, n) result stays flat in n.
+    xs = np.random.default_rng(n).random(n) * 12.0 + 1e-9
+    tracemalloc.start()
+    try:
+        rows = specfun._gamma_rows(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (3, n)
+    assert peak - rows.nbytes <= 3_000_000
 
 
 def test_concurrent_calls_never_share_a_buffer():
